@@ -14,8 +14,9 @@ the resulting trace:
 
 For an s-Carleson measure all four stay bounded; otherwise all four grow.
 ``is_s_carleson`` runs the battery and reports the consensus.  Inner
-quadratures that fail to converge are recorded as ``+inf`` samples, which
-is exactly how a divergent criterion integral shows up in the trace.
+integrals with a non-integrable endpoint exponent are recorded as
+``+inf`` samples, which is exactly how a divergent criterion integral
+shows up in the trace.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ __all__ = [
     "CARLESON",
     "NOT_CARLESON",
     "DISAGREEMENT",
-    "INNER_QUAD_RTOL",
+    "DEPTH_RANGE",
     "CarlesonVerdict",
     "box_test",
     "moment_test",
@@ -53,10 +54,10 @@ CARLESON = "carleson"
 NOT_CARLESON = "not_carleson"
 DISAGREEMENT = "disagreement"
 
-# float64 node placement on near-boundary kernels plateaus around 1e-7
-# relative; divergent integrals never agree better than ~4e-2 per
-# doubling, so 1e-5 separates the two regimes by over three decades
-INNER_QUAD_RTOL = 1e-5
+# below 4 levels there is nothing to classify; past 52 the probes
+# 1 - 2**-j reach the last float64 steps below 1, and 52 keeps every
+# probe at least 8 quadrature panels inside the graded grid
+DEPTH_RANGE = (4, 52)
 
 
 def _check_s(s: float) -> float:
@@ -82,11 +83,37 @@ def _check_r(r: float, s: float) -> float:
 
 def _quad_or_inf(g, mu: MeasureSpec, singular_exponent: float) -> float:
     try:
-        return float(
-            quad_measure(g, mu, singular_exponent=singular_exponent, rtol=INNER_QUAD_RTOL)
-        )
+        return float(quad_measure(g, mu, singular_exponent=singular_exponent))
     except NumericsError:
         return math.inf
+
+
+# the integrands h(a) of the kernel criteria; at a real probe a in [0, 1)
+# the boundary kernel's |1 - a x| is just 1 - a x
+def _boundary_kernel(mu: MeasureSpec, s: float, t: float, r: float):
+    power = s + t - r
+
+    def h(a: complex) -> float:
+        def g(x: np.ndarray) -> np.ndarray:
+            return np.abs(1.0 - a * x) ** (-power)
+
+        return (1.0 - abs(a)) ** t * _quad_or_inf(g, mu, r)
+
+    return h
+
+
+def _disk_kernel(mu: MeasureSpec, s: float, t: float):
+    power = s + t
+
+    def h(a: complex) -> float:
+        numer = (1.0 - abs(a) ** 2) ** t
+
+        def g(x: np.ndarray) -> np.ndarray:
+            return np.abs(1.0 - np.conj(a) * x) ** (-power)
+
+        return numer * _quad_or_inf(g, mu, 0.0)
+
+    return h
 
 
 def box_test(mu: MeasureSpec, s: float, depth: int = 18) -> GrowthReport:
@@ -129,17 +156,7 @@ def integral_test_real(
     s = _check_s(s)
     t = _check_t(t)
     r = s / 2.0 if r is None else _check_r(r, s)
-    power = s + t - r
-
-    def h(a: complex) -> float:
-        x0 = a.real
-
-        def g(x: np.ndarray) -> np.ndarray:
-            return (1.0 - x0 * x) ** (-power)
-
-        return (1.0 - x0) ** t * _quad_or_inf(g, mu, r)
-
-    return sup_on_dyadic_boundary(h, depth=depth, angles=1)
+    return sup_on_dyadic_boundary(_boundary_kernel(mu, s, t, r), depth=depth)
 
 
 def integral_test_complex(
@@ -148,24 +165,18 @@ def integral_test_complex(
     t: float = 1.0,
     r: float = 0.0,
     depth: int = 18,
-    angles: int = 64,
 ) -> GrowthReport:
-    """Same kernel trace with complex probes on dyadic circles.
+    """Same kernel trace in its complex form.
 
     ``h(a) = (1-|a|)**t * integral (1-x)**-r |1 - conj(a) x|**-(s+t-r)``.
+    On [0, 1) ``|1 - conj(a) x| >= 1 - |a| x``, so the supremum over each
+    dyadic circle sits at the real probe ``a = 1 - 2**-j``, which is the
+    only one taken.
     """
     s = _check_s(s)
     t = _check_t(t)
     r = _check_r(r, s)
-    power = s + t - r
-
-    def h(a: complex) -> float:
-        def g(x: np.ndarray) -> np.ndarray:
-            return np.abs(1.0 - a * x) ** (-power)
-
-        return (1.0 - abs(a)) ** t * _quad_or_inf(g, mu, r)
-
-    return sup_on_dyadic_boundary(h, depth=depth, angles=angles)
+    return sup_on_dyadic_boundary(_boundary_kernel(mu, s, t, r), depth=depth)
 
 
 def disk_kernel_test(
@@ -173,22 +184,15 @@ def disk_kernel_test(
     s: float,
     t: float = 1.0,
     depth: int = 18,
-    angles: int = 64,
 ) -> GrowthReport:
-    """Trace of ``integral (1-|a|**2)**t / |1-conj(a) x|**(s+t) d mu(x)``."""
+    """Trace of ``integral (1-|a|**2)**t / |1-conj(a) x|**(s+t) d mu(x)``.
+
+    Probed at real ``a = 1 - 2**-j``, where each dyadic circle attains
+    its supremum.
+    """
     s = _check_s(s)
     t = _check_t(t)
-    power = s + t
-
-    def h(a: complex) -> float:
-        numer = (1.0 - abs(a) ** 2) ** t
-
-        def g(x: np.ndarray) -> np.ndarray:
-            return np.abs(1.0 - np.conj(a) * x) ** (-power)
-
-        return numer * _quad_or_inf(g, mu, 0.0)
-
-    return sup_on_dyadic_boundary(h, depth=depth, angles=angles)
+    return sup_on_dyadic_boundary(_disk_kernel(mu, s, t), depth=depth)
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,6 @@ def is_s_carleson(
     s: float,
     *,
     depth: int = 18,
-    angles: int = 64,
     t: float = 1.0,
     r: float | None = None,
     moment_limit: int = 1 << 14,
@@ -225,19 +228,21 @@ def is_s_carleson(
     legal range) and the complex-kernel test at ``r = 0``.  Agreement
     across every trace yields ``carleson`` or ``not_carleson``; anything
     mixed is a ``disagreement``, which callers should treat as an
-    unresolved numerical question rather than an answer.
+    unresolved numerical question rather than an answer.  ``depth`` must
+    lie in ``DEPTH_RANGE``.
     """
     s = _check_s(s)
+    lo, hi = DEPTH_RANGE
+    if not lo <= depth <= hi:
+        raise ParameterError(f"probe depth must lie in [{lo}, {hi}], got {depth!r}")
     reports = {
         "box": box_test(mu, s, depth=depth),
         "moment": moment_test(mu, s, limit=moment_limit),
         "integral_real": integral_test_real(
             mu, s, t=t, r=s / 2.0 if r is None else r, depth=depth
         ),
-        "integral_complex": integral_test_complex(
-            mu, s, t=t, r=0.0, depth=depth, angles=angles
-        ),
-        "disk_kernel": disk_kernel_test(mu, s, t=t, depth=depth, angles=angles),
+        "integral_complex": integral_test_complex(mu, s, t=t, r=0.0, depth=depth),
+        "disk_kernel": disk_kernel_test(mu, s, t=t, depth=depth),
     }
     flags = {rep.bounded for rep in reports.values()}
     if flags == {True}:

@@ -76,14 +76,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 def _cmd_carleson(args: argparse.Namespace) -> int:
     mu = load_measure(args.measure)
-    verdict = is_s_carleson(
-        mu,
-        args.s,
-        depth=args.depth,
-        angles=args.angles,
-        t=args.t,
-        r=args.r,
-    )
+    verdict = is_s_carleson(mu, args.s, depth=args.depth, t=args.t, r=args.r)
     payload = verdict.to_dict()
     payload["schema"] = SCHEMA_VERSION
     _emit_json(payload, args.out)
@@ -146,7 +139,7 @@ def _cmd_seminorm(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = tuple(SCENARIOS) if args.scenario == "all" else (args.scenario,)
-    reports = run_all(names, parallel=args.parallel)
+    reports = run_all(names)
     payload = {
         "schema": SCHEMA_VERSION,
         "pass": all(r.passed for r in reports),
@@ -186,8 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="interior singularity exponent for the real kernel (default s/2)",
     )
-    p_car.add_argument("--depth", type=int, default=18, help="dyadic probe depth")
-    p_car.add_argument("--angles", type=int, default=64, help="angular probes per radius")
+    p_car.add_argument("--depth", type=int, default=18, help="dyadic probe depth, 4 to 52")
     p_car.add_argument("--out", help="write JSON here instead of stdout")
     p_car.add_argument("--trace-dir", help="write per-criterion CSV traces here")
     p_car.set_defaults(func=_cmd_carleson)
@@ -221,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=tuple(SCENARIOS) + ("all",),
         help="scenario id, or 'all'",
     )
-    p_ver.add_argument("--parallel", action="store_true", help="run scenarios concurrently")
     p_ver.add_argument("--out", help="write JSON here instead of stdout")
     p_ver.add_argument("--trace-dir", help="write scenario traces as CSV here")
     p_ver.set_defaults(func=_cmd_verify)

@@ -19,10 +19,10 @@ class ParameterError(ValueError):
 
 
 class NumericsError(RuntimeError):
-    """A numerical procedure failed to converge.
+    """A numerical procedure failed to converge or met a divergent integral.
 
     ``estimates`` holds the last two values the procedure produced, so
-    callers can see how far apart the escalation ended up.
+    callers can see how far apart they ended up.
     """
 
     def __init__(self, message: str, estimates: tuple = ()):

@@ -23,7 +23,6 @@ Scenario ids:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -32,7 +31,6 @@ import numpy as np
 
 from .carleson import (
     CARLESON,
-    INNER_QUAD_RTOL,
     NOT_CARLESON,
     CarlesonVerdict,
     box_test,
@@ -161,9 +159,9 @@ def _report(
 
 
 @lru_cache(maxsize=None)
-def _corpus_verdict(mu: MeasureSpec, s: float, depth: int, angles: int) -> CarlesonVerdict:
+def _corpus_verdict(mu: MeasureSpec, s: float, depth: int) -> CarlesonVerdict:
     # measures are frozen and hashable, so scenario runs share batteries
-    return is_s_carleson(mu, s, depth=depth, angles=angles)
+    return is_s_carleson(mu, s, depth=depth)
 
 
 def _growth_traces(prefix: str, reports: dict) -> list[TraceRecord]:
@@ -181,13 +179,12 @@ def run_criterion_equivalence(
     entries: Iterable[LabeledMeasure] | None = None,
     *,
     depth: int = 18,
-    angles: int = 64,
 ) -> ScenarioReport:
     """All five tail criteria must reproduce each corpus label."""
     entries = tuple(entries) if entries is not None else labeled_corpus()
     checks, traces = [], []
     for entry in entries:
-        verdict = _corpus_verdict(entry.measure, entry.order, depth, angles)
+        verdict = _corpus_verdict(entry.measure, entry.order, depth)
         expected = CARLESON if entry.is_carleson else NOT_CARLESON
         checks.append(
             CheckRecord(
@@ -206,7 +203,6 @@ def run_criterion_equivalence(
         "be reproduced by all five.",
         {
             "depth": depth,
-            "angles": angles,
             "measures": [e.name for e in entries],
         },
         checks,
@@ -225,16 +221,17 @@ def run_divergent_integral(
 
     For the density ``(1-x)**(s-1)`` (which satisfies the order-s tail
     condition), the inner integral ``(1-x)**-r (1-ax)**-(s+t-r)`` is
-    infinite at every probe point once ``r >= s``; quadrature escalation
-    must fail while the box criterion still certifies the measure.
+    infinite at every probe point once ``r >= s``; the quadrature must
+    report a non-integrable endpoint exponent while the box criterion
+    still certifies the measure.
     """
     s = float(s)
     t = float(t)
-    if s <= 0.0 or t <= 0.0:
+    if not (s > 0.0 and t > 0.0):
         raise ParameterError("s and t must be positive")
     r_values = tuple(float(r) for r in r_values)
     for r in r_values:
-        if r < s:
+        if not r >= s:
             raise ParameterError(
                 f"r={r!r} is below s={s!r}; the divergence regime needs r >= s"
             )
@@ -259,7 +256,7 @@ def run_divergent_integral(
                 return (1.0 - a * x) ** (-power)
 
             try:
-                quad_measure(g, mu, singular_exponent=r, rtol=INNER_QUAD_RTOL)
+                quad_measure(g, mu, singular_exponent=r)
                 diverged.append(False)
             except NumericsError:
                 diverged.append(True)
@@ -374,7 +371,6 @@ def run_kernel_membership(
     *,
     order: int = 1 << 14,
     depth: int = 18,
-    angles: int = 64,
 ) -> ScenarioReport:
     """Kernel-series decay answers the same question as the criterion battery."""
     entries = tuple(entries) if entries is not None else labeled_corpus()
@@ -382,7 +378,7 @@ def run_kernel_membership(
     for entry in entries:
         f = kernel_series(entry.measure, entry.order, order)
         decay = coeff_decay_test(f)
-        verdict = _corpus_verdict(entry.measure, entry.order, depth, angles)
+        verdict = _corpus_verdict(entry.measure, entry.order, depth)
         expect_bounded = verdict.consensus == CARLESON
         checks.append(
             CheckRecord(
@@ -402,7 +398,7 @@ def run_kernel_membership(
         "measure satisfies the order-s tail condition, so its coefficient "
         "decay verdict must match the criterion battery on every corpus "
         "measure.",
-        {"order": order, "depth": depth, "angles": angles, "measures": [e.name for e in entries]},
+        {"order": order, "depth": depth, "measures": [e.name for e in entries]},
         checks,
         traces,
     )
@@ -507,9 +503,9 @@ def run_lambda_range(
     """Mean-Lipschitz analog of the range scenario, with the s = 1 reduction."""
     cases = tuple((float(s), float(p)) for s, p in cases)
     for s, p in cases:
-        if s <= 0.0:
+        if not s > 0.0:
             raise ParameterError(f"order s must be positive, got {s!r}")
-        if p <= max(1.0, 1.0 / s):
+        if not p > max(1.0, 1.0 / s):
             raise ParameterError(
                 f"exponent p must exceed max(1, 1/s) = {max(1.0, 1.0 / s)!r}, got {p!r}"
             )
@@ -613,17 +609,10 @@ def run_scenario(name: str) -> ScenarioReport:
     return SCENARIOS[name]()
 
 
-def run_all(names: Sequence[str] | None = None, parallel: bool = False) -> tuple[ScenarioReport, ...]:
-    """Run scenarios in declaration order; identical output either way.
-
-    Everything underneath is pure, so the thread pool only changes
-    wall-clock time, never the reports.
-    """
+def run_all(names: Sequence[str] | None = None) -> tuple[ScenarioReport, ...]:
+    """Run scenarios in declaration order."""
     names = tuple(names) if names is not None else tuple(SCENARIOS)
     for name in names:
         if name not in SCENARIOS:
             raise ParameterError(f"unknown scenario {name!r}")
-    if parallel:
-        with ThreadPoolExecutor(max_workers=len(names)) as pool:
-            return tuple(pool.map(lambda n: SCENARIOS[n](), names))
     return tuple(SCENARIOS[name]() for name in names)

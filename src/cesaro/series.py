@@ -131,7 +131,7 @@ def gamma_ratio(n, s: float):
     ``1/Gamma(s)``, and equals 1 identically at ``s = 1``.
     """
     s = float(s)
-    if s <= 0.0:
+    if not s > 0.0:
         raise ParameterError(f"s must be positive, got {s!r}")
     arr = np.asarray(n, dtype=float)
     if arr.size and float(np.min(arr)) < 0:
@@ -182,8 +182,6 @@ def integral_rep_eval(
     mu: MeasureSpec,
     s: float,
     z: complex,
-    *,
-    rtol: float = 1e-9,
 ) -> complex:
     """Evaluate the transform via ``integral of f(tz) (1-tz)**-s d mu(t)``.
 
@@ -191,17 +189,17 @@ def integral_rep_eval(
     the transform order is large enough for the evaluation radius.
     """
     s = float(s)
-    if s <= 0.0:
+    if not s > 0.0:
         raise ParameterError(f"s must be positive, got {s!r}")
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise ParameterError("evaluation point must satisfy |z| < 1")
 
     def g(t: np.ndarray) -> np.ndarray:
         tz = t * z
         return _horner(f.coeffs, tz) * (1.0 - tz) ** (-s)
 
-    return complex(quad_measure(g, mu, rtol=rtol))
+    return complex(quad_measure(g, mu))
 
 
 def compose_mobius(

@@ -101,7 +101,7 @@ def Mp(
     p = float(p)
     if not (0.0 <= r < 1.0):
         raise ParameterError(f"radius must lie in [0, 1), got {r!r}")
-    if p < 1.0:
+    if not p >= 1.0:
         raise ParameterError(f"integral-mean exponent must be >= 1, got {p!r}")
     prev = None
     est = None
@@ -166,7 +166,7 @@ def qp_seminorm(
     only counts as converged when the two grids agree within 2%.
     """
     p = float(p)
-    if p <= 0.0:
+    if not p > 0.0:
         raise ParameterError(f"exponent p must be positive, got {p!r}")
     fd = f.derivative()
 
@@ -203,7 +203,7 @@ def qp_seminorm(
 def lambda_norm(f: PowerSeries, p: float, depth: int = 12) -> SeminormEstimate:
     """Mean-Lipschitz seminorm ``sup_r (1-r)**(1-1/p) Mp(r, f', p)``, p > 1."""
     p = float(p)
-    if p <= 1.0:
+    if not p > 1.0:
         raise ParameterError(f"mean-Lipschitz exponent must exceed 1, got {p!r}")
     fd = f.derivative()
     radii = np.concatenate([[0.0], dyadic_radii(depth)])
@@ -272,7 +272,7 @@ def qp_coeff_criterion(f: PowerSeries, p: float, depth: int = 8) -> GrowthReport
     as infinite.
     """
     p = float(p)
-    if p <= 0.0:
+    if not p > 0.0:
         raise ParameterError(f"exponent p must be positive, got {p!r}")
     a = _real_nonneg_coeffs(f, "coefficient-side membership functional")
     n_terms = a.size - 1
@@ -400,11 +400,11 @@ def two_kernel_check(
     if abs(a) >= 1.0 or abs(b) >= 1.0:
         raise ParameterError("|a| and |b| must be below 1")
     s, r, t = float(s), float(r), float(t)
-    if s <= -1.0:
+    if not s > -1.0:
         raise ParameterError(f"weight exponent s must exceed -1, got {s!r}")
-    if r <= 0.0 or t <= 0.0:
+    if not (r > 0.0 and t > 0.0):
         raise ParameterError("kernel exponents r and t must be positive")
-    if r + t - s - 2.0 <= 0.0:
+    if not r + t - s - 2.0 > 0.0:
         raise ParameterError(
             f"need r + t - s - 2 > 0 for a nontrivial bound, got {r + t - s - 2.0!r}"
         )

@@ -7,14 +7,17 @@ test names, plus the consolidated block the terminal summary prints.
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from cesaro.carleson import CARLESON
-from cesaro.cli import main
 from cesaro.corpus import labeled_corpus
 from cesaro.harness import (
     _corpus_verdict,
@@ -25,6 +28,8 @@ from cesaro.harness import (
 from cesaro.measure import Atomic, Lebesgue, PowerDensity, moments
 from cesaro.series import PowerSeries, cesaro_mu, cesaro_mu_s, integral_rep_eval, kernel_series
 from cesaro.spaces import circle_kernel_check, coeff_decay_test, two_kernel_check
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_criterion_01_moment_exactness(acceptance):
@@ -110,11 +115,11 @@ def test_criterion_05_criterion_equivalence(acceptance):
     n_neg = sum(1 for e in entries if not e.is_carleson)
     mismatches = []
     for e in entries:
-        verdict = _corpus_verdict(e.measure, e.order, 18, 64)
+        verdict = _corpus_verdict(e.measure, e.order, 18)
         expected = "carleson" if e.is_carleson else "not_carleson"
         if verdict.consensus != expected:
             mismatches.append(f"{e.name}: {verdict.consensus}")
-    box_exp = _corpus_verdict(Lebesgue(), 2.0, 18, 64).reports["box"].exponent
+    box_exp = _corpus_verdict(Lebesgue(), 2.0, 18).reports["box"].exponent
     elapsed = time.perf_counter() - start
     ok = (
         n_pos >= 5
@@ -145,7 +150,7 @@ def test_criterion_07_kernel_decay_consistency(acceptance):
     )
     mismatches = []
     for e in entries:
-        verdict = _corpus_verdict(e.measure, e.order, 18, 64)
+        verdict = _corpus_verdict(e.measure, e.order, 18)
         decay = coeff_decay_test(kernel_series(e.measure, e.order, 1 << 14))
         if decay.bounded != (verdict.consensus == CARLESON):
             mismatches.append(e.name)
@@ -204,9 +209,24 @@ def test_criterion_09_kernel_bands(acceptance):
 
 
 def test_criterion_10_determinism(acceptance, tmp_path):
+    # two fresh processes, so neither run can reuse the other's batteries
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    code_a = main(["verify", "--scenario", "all", "--out", str(a)])
-    code_b = main(["verify", "--scenario", "all", "--out", str(b)])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "cesaro.cli", "verify", "--scenario", "all", "--out", str(out)],
+            env=env,
+        )
+        for out in (a, b)
+    ]
+    try:
+        code_a, code_b = (run.wait(timeout=600) for run in runs)
+    finally:
+        for run in runs:
+            run.kill()
     identical = a.read_bytes() == b.read_bytes()
     passed_flag = json.loads(a.read_text())["pass"]
     ok = code_a == 0 and code_b == 0 and identical and passed_flag

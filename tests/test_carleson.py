@@ -7,6 +7,8 @@ import pytest
 from cesaro.carleson import (
     CARLESON,
     NOT_CARLESON,
+    _boundary_kernel,
+    _disk_kernel,
     box_test,
     disk_kernel_test,
     integral_test_complex,
@@ -14,8 +16,10 @@ from cesaro.carleson import (
     is_s_carleson,
     moment_test,
 )
+from cesaro.corpus import labeled_corpus
 from cesaro.errors import ParameterError
 from cesaro.measure import Atomic, Lebesgue, PowerDensity
+from cesaro.numerics import sup_on_dyadic_boundary
 
 
 class TestBoxTest:
@@ -80,7 +84,7 @@ class TestIntegralTests:
     def test_complex_kernel_agrees_with_real_on_radial_measures(self):
         for s, expect in ((1.0, True), (2.0, False)):
             real = integral_test_real(Lebesgue(), s, depth=10)
-            cplx = integral_test_complex(Lebesgue(), s, depth=10, angles=16)
+            cplx = integral_test_complex(Lebesgue(), s, depth=10)
             assert real.bounded == expect
             assert cplx.bounded == expect
 
@@ -101,18 +105,18 @@ class TestDiskKernelTest:
     def test_lebesgue_at_half_is_bounded(self):
         # the tail condition holds at order 0.5 for Lebesgue measure, and
         # the disk kernel criterion must agree with the other four
-        rep = disk_kernel_test(Lebesgue(), 0.5, t=1.0, depth=10, angles=16)
+        rep = disk_kernel_test(Lebesgue(), 0.5, t=1.0, depth=10)
         assert rep.bounded
 
     def test_lebesgue_above_order_divergent_with_half_exponent(self):
-        rep = disk_kernel_test(Lebesgue(), 1.5, t=1.0, depth=12, angles=16)
+        rep = disk_kernel_test(Lebesgue(), 1.5, t=1.0, depth=12)
         assert rep.verdict == "divergent"
         assert rep.exponent == pytest.approx(0.5, abs=0.08)
 
 
 class TestConsensus:
     def test_carleson_verdict_fields(self):
-        v = is_s_carleson(Lebesgue(), 1.0, depth=10, angles=16)
+        v = is_s_carleson(Lebesgue(), 1.0, depth=10)
         assert v.consensus == CARLESON
         assert set(v.reports) == {
             "box",
@@ -125,17 +129,35 @@ class TestConsensus:
         assert v.order == 1.0
 
     def test_not_carleson_consensus(self):
-        v = is_s_carleson(Lebesgue(), 2.0, depth=10, angles=16)
+        v = is_s_carleson(Lebesgue(), 2.0, depth=10)
         assert v.consensus == NOT_CARLESON
         assert all(not rep.bounded for rep in v.reports.values())
 
     def test_custom_r_plumbs_through(self):
-        v = is_s_carleson(Lebesgue(), 1.0, depth=10, angles=16, r=0.25)
+        v = is_s_carleson(Lebesgue(), 1.0, depth=10, r=0.25)
         assert v.consensus == CARLESON
 
     def test_to_dict_is_json_ready(self):
-        v = is_s_carleson(Atomic((0.5,), (1.0,)), 1.0, depth=10, angles=16)
+        v = is_s_carleson(Atomic((0.5,), (1.0,)), 1.0, depth=10)
         payload = v.to_dict()
         json.dumps(payload)
         assert payload["consensus"] == CARLESON
         assert "box" in payload["reports"]
+
+
+class TestRealProbeReduction:
+    """Each dyadic circle attains its supremum at the real probe.
+
+    On [0, 1), ``|1 - conj(a) x| >= 1 - |a| x``, and the fixed quadrature
+    rule has positive weights, so every non-real probe integrates a
+    pointwise smaller integrand.  A 64-angle sweep therefore reproduces
+    the criteria's real-probe traces bit for bit.
+    """
+
+    @pytest.mark.parametrize("entry", labeled_corpus(), ids=lambda e: e.name)
+    def test_angular_sweep_matches_real_probe_trace(self, entry):
+        mu, s = entry.measure, entry.order
+        complex_swept = sup_on_dyadic_boundary(_boundary_kernel(mu, s, 1.0, 0.0), 18, 64)
+        disk_swept = sup_on_dyadic_boundary(_disk_kernel(mu, s, 1.0), 18, 64)
+        assert complex_swept.values == integral_test_complex(mu, s, depth=18).values
+        assert disk_swept.values == disk_kernel_test(mu, s, depth=18).values

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from scipy import integrate
 
 from cesaro.errors import InconclusiveGrowthError, NumericsError, ParameterError
 from cesaro.measure import Atomic, Lebesgue, Mixture, PowerDensity
+from cesaro import numerics
 from cesaro.numerics import (
     BOUNDED,
     DIVERGENT,
@@ -91,6 +93,31 @@ class TestQuadMeasure:
     def test_rejects_non_measure(self):
         with pytest.raises(ParameterError):
             quad_measure(lambda t: t, "lebesgue")
+
+    @pytest.mark.parametrize("beta", [-0.95, -0.5, 0.0, 1.5])
+    @pytest.mark.parametrize("q", [0.6, 1.5, 3.0])
+    def test_kernel_matches_beta_hypergeometric_oracle(self, beta, q):
+        # integral (1-x)**beta (1-ax)**-q dx = B(1, beta+1) 2F1(q, 1; beta+2; a)
+        mp.mp.dps = 30
+        for j in range(1, 19):
+            a = 1.0 - 2.0 ** -j
+            ours = quad_measure(lambda x: (1.0 - a * x) ** (-q), PowerDensity(beta))
+            ref = mp.beta(1, beta + 1) * mp.hyp2f1(q, 1, beta + 2, mp.mpf(a))
+            assert ours == pytest.approx(float(ref), rel=1e-10), j
+
+    def test_deep_probe_exact_value(self):
+        # integral (1-x)**-1/2 (1-ax)**-3/2 dx = 2/(1-a) = 2**19 at a = 1 - 2**-18
+        a = 1.0 - 2.0 ** -18
+        val = quad_measure(lambda x: (1.0 - a * x) ** -1.5, Lebesgue(), singular_exponent=0.5)
+        assert val == pytest.approx(2.0 ** 19, rel=1e-12)
+
+    def test_atomic_measure_builds_no_rule(self, monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("atomic quadrature built a Jacobi rule")
+
+        monkeypatch.setattr(numerics, "_jacobi_rule", no_rule)
+        mu = Atomic((0.5, 0.75), (1.0, 1.0))
+        assert quad_measure(lambda t: t, mu, singular_exponent=0.5) > 0.0
 
 
 class TestClassifyGrowth:
