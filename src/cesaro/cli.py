@@ -35,7 +35,7 @@ from .series import (
     coefficients_text,
     read_coefficients,
 )
-from .spaces import bloch_seminorm, hinf_norm, lambda_norm, qp_seminorm
+from .spaces import SeminormEstimate, bloch_seminorm, hinf_norm, lambda_norm, qp_seminorm
 
 __all__ = ["main", "cli_main"]
 
@@ -117,17 +117,7 @@ def _cmd_seminorm(args: argparse.Namespace) -> int:
         est = lambda_norm(f, args.p)
     else:
         value = hinf_norm(f)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "space": space,
-            "value": value,
-            "levels": [0],
-            "trace": [value],
-            "converged": True,
-            "notes": [],
-        }
-        _emit_json(payload, args.out)
-        return 0
+        est = SeminormEstimate(value=value, levels=(0,), trace=(value,), converged=True)
     payload = est.to_dict()
     payload["schema"] = SCHEMA_VERSION
     payload["space"] = space

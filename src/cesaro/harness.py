@@ -408,8 +408,6 @@ def run_qp_range(
     p_values: Sequence[float] = (1.0, 1.5),
     *,
     order: int = DEFAULT_ORDER,
-    depth: int = 8,
-    angles: int = 8,
     necessity_order: int = 1 << 12,
 ) -> ScenarioReport:
     """Bounded functions map into the invariant-metric space iff the tail holds.
@@ -434,7 +432,7 @@ def run_qp_range(
     for fname, f in bounded_test_functions(order):
         g = cesaro_mu(f, mu_pos, order)
         for p in p_values:
-            est = qp_seminorm(g, p, depth=depth, angles=angles)
+            est = qp_seminorm(g, p)
             checks.append(
                 CheckRecord(
                     name=f"qp_converged.lebesgue.{fname}.p={p:g}",

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betaln
 
 from .errors import MeasureValidationError, ParameterError
 
@@ -110,6 +110,9 @@ class Mixture:
 
 MeasureSpec = Union[Atomic, PowerDensity, Lebesgue, Mixture]
 
+# deepest mixture nesting a measure file may use
+MAX_NESTING = 32
+
 
 @dataclass(frozen=True)
 class MomentSequence:
@@ -153,7 +156,7 @@ def moments_array(mu: MeasureSpec, order: int) -> np.ndarray:
         return 1.0 / (n + 1.0)
     if isinstance(mu, PowerDensity):
         a = mu.alpha
-        return mu.scale * np.exp(gammaln(n + 1.0) + gammaln(a + 1.0) - gammaln(n + a + 2.0))
+        return mu.scale * np.exp(betaln(n + 1.0, a + 1.0))
     if isinstance(mu, Mixture):
         total = np.zeros(order + 1)
         for part in mu.components:
@@ -207,8 +210,17 @@ def measure_to_dict(mu: MeasureSpec) -> dict:
     raise ParameterError(f"not a measure: {mu!r}")
 
 
-def measure_from_dict(data: dict) -> MeasureSpec:
-    """Rebuild a measure from its JSON form; raises on unknown or bad fields."""
+def _number(field: str, value) -> float:
+    # JSON booleans are ints to Python; neither they nor strings are numbers here
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MeasureValidationError(f"{field} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise MeasureValidationError(f"{field} is out of range") from None
+
+
+def _from_dict(data, depth: int) -> MeasureSpec:
     if not isinstance(data, dict) or "type" not in data:
         raise MeasureValidationError(f"measure config must be an object with a 'type': {data!r}")
     kind = data["type"]
@@ -216,22 +228,47 @@ def measure_from_dict(data: dict) -> MeasureSpec:
     if extra:
         raise MeasureValidationError(f"unknown measure fields: {sorted(extra)}")
     if kind == "atomic":
-        return Atomic(points=data.get("points", ()), weights=data.get("weights", ()))
+        points, weights = data.get("points", []), data.get("weights", [])
+        if not (isinstance(points, list) and isinstance(weights, list)):
+            raise MeasureValidationError("atomic points and weights must be lists")
+        return Atomic(
+            points=tuple(_number("points", t) for t in points),
+            weights=tuple(_number("weights", w) for w in weights),
+        )
     if kind == "power_density":
         if "alpha" not in data:
             raise MeasureValidationError("power_density needs an 'alpha' field")
-        return PowerDensity(alpha=data["alpha"], scale=data.get("scale", 1.0))
+        return PowerDensity(
+            alpha=_number("alpha", data["alpha"]), scale=_number("scale", data.get("scale", 1.0))
+        )
     if kind == "lebesgue":
         return Lebesgue()
     if kind == "mixture":
+        if depth >= MAX_NESTING:
+            raise MeasureValidationError(f"mixtures nest deeper than {MAX_NESTING} levels")
         parts = data.get("components", [])
-        return Mixture(components=tuple(measure_from_dict(p) for p in parts))
+        if not isinstance(parts, list):
+            raise MeasureValidationError("mixture components must be a list")
+        return Mixture(components=tuple(_from_dict(p, depth + 1) for p in parts))
     raise MeasureValidationError(f"unknown measure type {kind!r}")
+
+
+def measure_from_dict(data: dict) -> MeasureSpec:
+    """Rebuild a measure from its JSON form; raises on unknown or bad fields."""
+    mu = _from_dict(data, 0)
+    # every moment is at most the total mass, so this keeps them finite
+    if not math.isfinite(total_mass(mu)):
+        raise MeasureValidationError("total mass overflows")
+    return mu
 
 
 def load_measure(path: str | Path) -> MeasureSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return measure_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise MeasureValidationError(f"{path}: not valid JSON: {exc}") from None
+    return measure_from_dict(data)
 
 
 def save_measure(mu: MeasureSpec, path: str | Path) -> None:

@@ -3,10 +3,10 @@
 Everything here estimates a supremum over the disk by sweeping dyadic
 radii ``1 - 2**-j`` and recording a per-level trace.  An estimate is
 ``converged`` when its running supremum moved less than 2% over the last
-level (for the invariant-metric estimator, the two grid resolutions must
-also agree to 2%).  The coefficient-side tests (``coeff_decay_test``,
-``qp_coeff_criterion``) classify growth instead, reusing the dyadic
-slope machinery from ``numerics``.
+level; the invariant-metric estimator computes each probe exactly in
+coefficient space and also needs every probe's truncation tail
+certified.  ``coeff_decay_test`` classifies coefficient growth instead,
+reusing the dyadic slope machinery from ``numerics``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .numerics import (
     disk_grid,
     dyadic_radii,
 )
-from .series import PowerSeries, _horner
+from .series import PowerSeries, _horner, gamma_ratio
 
 __all__ = [
     "SeminormEstimate",
@@ -32,7 +32,6 @@ __all__ = [
     "bloch_seminorm",
     "qp_seminorm",
     "lambda_norm",
-    "qp_coeff_criterion",
     "coeff_decay_test",
     "hinf_norm",
     "KernelComparison",
@@ -42,8 +41,15 @@ __all__ = [
 ]
 
 # relative movement of the running supremum below which a trace counts
-# as settled; also the grid-agreement tolerance for qp_seminorm
+# as settled; also the grid-agreement tolerance for two_kernel_check
 SUP_CONVERGENCE_RTOL = 0.02
+
+# qp_seminorm cuts each probe's series once a certified bound on its last
+# quarter is at most this share of the energy, and gives up at QP_MAX_TERMS
+QP_TAIL_RTOL = 1e-13
+QP_MAX_TERMS = 1 << 20
+# largest share of a probe energy that the bound on FFT round-off may reach
+QP_ROUNDOFF_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -130,72 +136,99 @@ def _dyadic_circle_levels(depth: int, angles: int):
 def bloch_seminorm(f: PowerSeries, depth: int = 10, angles: int = 64) -> SeminormEstimate:
     """Supremum of ``(1 - |z|**2) |f'(z)|`` over a dyadic disk grid."""
     fd = f.derivative()
-    levels, trace = [], []
-    for j, z in _dyadic_circle_levels(depth, angles):
+    trace = []
+    for _, z in _dyadic_circle_levels(depth, angles):
         vals = (1.0 - np.abs(z) ** 2) * np.abs(fd.eval(z))
-        levels.append(j)
         trace.append(float(np.max(vals)))
     arr = np.asarray(trace)
     return SeminormEstimate(
         value=float(np.max(arr)),
-        levels=tuple(levels),
+        levels=tuple(range(depth + 1)),
         trace=tuple(trace),
         converged=_running_sup_settled(arr),
     )
 
 
-def qp_seminorm(
-    f: PowerSeries,
-    p: float,
-    depth: int = 8,
-    angles: int = 8,
-    radial_order: int = 96,
-    angular: int = 256,
-) -> SeminormEstimate:
+def _qp_probe(fd: np.ndarray, a: complex, p: float) -> tuple[float, int, float]:
+    """Energy at probe ``a``, the series length used and its tail fraction.
+
+    From ``n0 = 3L/4`` on, ``|h_n| <= ||f'||_1 v_{n-len(f')+1}`` where
+    ``v_k = |a|^k gamma_ratio(k, p)`` shrinks by ``rho`` per step from
+    ``m = n0 - len(f') + 1`` on, so those terms lie under a geometric
+    series of ratio ``rho**2``: the certified tail.
+    """
+    r, theta = abs(a), math.atan2(a.imag, a.real)
+    l1 = float(np.sum(np.abs(fd)))
+    length = 1 << math.ceil(math.log2(fd.size + 40.0 / (1.0 - r)))
+    while True:
+        length = min(length, QP_MAX_TERMS)
+        k = np.arange(length, dtype=float)
+        kern = gamma_ratio(k, p) * r ** k * np.exp(-1j * theta * k)  # (1 - conj(a) z)**-p
+        beta = 1.0 / ((k + p + 1.0) * gamma_ratio(k, p + 1.0))  # B(k+1, p+1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = np.fft.ifft(np.fft.fft(fd, 2 * length) * np.fft.fft(kern, 2 * length))[:length]
+            total = float(np.sum(np.abs(h) ** 2 * beta))
+            # FFT round-off moves each h_n by at most eps log2(2L) ||f'||_2 ||kern||_2
+            err = np.finfo(float).eps * math.log2(2 * length)
+            err *= np.linalg.norm(fd) * np.linalg.norm(kern)
+            noise = float(np.sum((2.0 * np.abs(h) + err) * err * beta))
+        if not (math.isfinite(total) and noise <= QP_ROUNDOFF_RTOL * total):
+            raise NumericsError(f"probe energy at a = {a:.6g} is lost to overflow or round-off")
+        n0 = 3 * length // 4
+        m = n0 - fd.size + 1
+        rho = r * max(1.0, (m + p) / (m + 1.0))
+        if r == 0.0 or l1 == 0.0:
+            tail = 0.0
+        elif m < 1 or rho >= 1.0 or total == 0.0:
+            tail = math.inf
+        else:
+            log_v = m * math.log(r) + math.lgamma(m + p) - math.lgamma(p) - math.lgamma(m + 1.0)
+            log_b = math.lgamma(n0 + 1.0) + math.lgamma(p + 1.0) - math.lgamma(n0 + p + 2.0)
+            log_tail = 2.0 * math.log(l1) + 2.0 * log_v + log_b - math.log1p(-rho * rho)
+            tail = math.exp(min(log_tail - math.log(total), 0.0))
+        if tail <= QP_TAIL_RTOL or length == QP_MAX_TERMS:
+            return (1.0 - r * r) ** p * total, length, tail
+        length *= 2
+
+
+def qp_seminorm(f: PowerSeries, p: float, depth: int = 8, angles: int = 8) -> SeminormEstimate:
     """Invariant-metric seminorm ``sup_a integral |f'|^2 (1-|sigma_a|^2)^p dA``.
 
-    The integral is evaluated after substituting ``z = sigma_a(w)``,
-    which pins the weight's boundary behavior to the grid's own boundary
-    (where the radial Gauss nodes cluster) instead of letting the
-    integrand concentrate at a moving interior point.  Each supremum
-    candidate ``a`` then costs one fixed-grid quadrature of
-    ``|f'(sigma_a(w))|^2 |sigma_a'(w)|^2 (1-|w|^2)^p``.
-
-    Every level is computed on the default grid and on one with both
-    resolutions doubled; the doubled trace is reported and the estimate
-    only counts as converged when the two grids agree within 2%.
+    As ``1-|sigma_a(z)|^2 = (1-|a|^2)(1-|z|^2)/|1-conj(a)z|^2`` and the
+    monomials are orthogonal for ``(1-|z|^2)^p dA``, the integral at a
+    probe ``a`` is exactly ``(1-|a|^2)^p sum_n |h_n|^2 B(n+1, p+1)`` with
+    ``h = f' (1-conj(a)z)^-p``, one FFT convolution of ``f'`` with
+    ``gamma_ratio(k, p) conj(a)^k``.  The sum is cut at a length ``L``
+    starting at ``2^ceil(log2(len f' + 40/(1-|a|)))`` and doubled until
+    the certified tail from ``3L/4`` on is at most ``QP_TAIL_RTOL`` of it.
+    Converged means the running supremum settled and every tail was
+    certified within ``QP_MAX_TERMS`` terms.
     """
     p = float(p)
     if not p > 0.0:
         raise ParameterError(f"exponent p must be positive, got {p!r}")
-    fd = f.derivative()
-
-    def trace_on(grid) -> np.ndarray:
-        wfac = grid.weights * (1.0 - np.abs(grid.nodes) ** 2) ** p
-        out = []
-        for _, probes in _dyadic_circle_levels(depth, angles):
-            best = 0.0
-            for a in probes:
-                denom = 1.0 - np.conj(a) * grid.nodes
-                zz = (a - grid.nodes) / denom
-                jac = ((1.0 - abs(a) ** 2) / np.abs(denom) ** 2) ** 2
-                val = float(np.sum(wfac * np.abs(_horner(fd.coeffs, zz)) ** 2 * jac))
-                best = max(best, val)
-            out.append(best)
-        return np.asarray(out)
-
-    coarse = trace_on(disk_grid(radial_order, angular))
-    fine = trace_on(disk_grid(2 * radial_order, 2 * angular))
-    top_c, top_f = float(np.max(coarse)), float(np.max(fine))
-    scale = max(top_c, top_f)
-    grid_gap = 0.0 if scale == 0.0 else abs(top_f - top_c) / scale
-    grids_agree = grid_gap <= SUP_CONVERGENCE_RTOL
-    notes = [f"grid doubling moved the supremum by {grid_gap:.2e} relative"]
+    fd = f.derivative().coeffs
+    trace, longest, worst, uncertified = [], 0, 0.0, []
+    for j, probes in _dyadic_circle_levels(depth, angles):
+        best = 0.0
+        for a in probes:
+            energy, length, tail = _qp_probe(fd, complex(a), p)
+            best = max(best, energy)
+            longest = max(longest, length)
+            if tail <= QP_TAIL_RTOL:
+                worst = max(worst, tail)
+            elif j not in uncertified:
+                uncertified.append(j)
+        trace.append(best)
+    arr = np.asarray(trace)
+    notes = [f"longest probe series {longest} terms; largest certified tail fraction {worst:.1e}"]
+    if uncertified:
+        notes.append(f"tail not certified within {QP_MAX_TERMS} terms at levels {uncertified}")
     return SeminormEstimate(
-        value=top_f,
+        value=float(np.max(arr)),
         levels=tuple(range(depth + 1)),
-        trace=tuple(float(v) for v in fine),
-        converged=_running_sup_settled(fine) and grids_agree,
+        trace=tuple(trace),
+        converged=_running_sup_settled(arr) and not uncertified,
         notes=tuple(notes),
     )
 
@@ -207,28 +240,14 @@ def lambda_norm(f: PowerSeries, p: float, depth: int = 12) -> SeminormEstimate:
         raise ParameterError(f"mean-Lipschitz exponent must exceed 1, got {p!r}")
     fd = f.derivative()
     radii = np.concatenate([[0.0], dyadic_radii(depth)])
-    levels, trace = [], []
-    for j, r in enumerate(radii):
-        levels.append(j)
-        trace.append(float((1.0 - r) ** (1.0 - 1.0 / p) * Mp(fd, r, p)))
+    trace = [float((1.0 - r) ** (1.0 - 1.0 / p) * Mp(fd, r, p)) for r in radii]
     arr = np.asarray(trace)
     return SeminormEstimate(
         value=float(np.max(arr)),
-        levels=tuple(levels),
+        levels=tuple(range(depth + 1)),
         trace=tuple(trace),
         converged=_running_sup_settled(arr),
     )
-
-
-def _real_nonneg_coeffs(f: PowerSeries, op: str) -> np.ndarray:
-    coeffs = f.coeffs
-    scale = 1.0 + float(np.max(np.abs(coeffs)))
-    if float(np.max(np.abs(coeffs.imag))) > 1e-12 * scale:
-        raise ParameterError(f"{op} needs real coefficients")
-    a = coeffs.real.copy()
-    if float(np.min(a)) < -1e-12 * scale:
-        raise ParameterError(f"{op} needs nonnegative coefficients")
-    return np.maximum(a, 0.0)
 
 
 def coeff_decay_test(f: PowerSeries) -> GrowthReport:
@@ -240,7 +259,13 @@ def coeff_decay_test(f: PowerSeries) -> GrowthReport:
     membership question for all of them at once.  Non-monotone input is
     rejected: without monotonicity dyadic sampling can miss spikes.
     """
-    a = _real_nonneg_coeffs(f, "coefficient decay test")
+    coeffs = f.coeffs
+    scale = 1.0 + float(np.max(np.abs(coeffs)))
+    if float(np.max(np.abs(coeffs.imag))) > 1e-12 * scale:
+        raise ParameterError("coefficient decay test needs real coefficients")
+    if float(np.min(coeffs.real)) < -1e-12 * scale:
+        raise ParameterError("coefficient decay test needs nonnegative coefficients")
+    a = np.maximum(coeffs.real, 0.0)
     # tiny relative slack so closed-form sequences that are constant or
     # equal up to rounding are not rejected
     rises = a[1:] > a[:-1] * (1.0 + 1e-9) + 1e-300
@@ -257,48 +282,6 @@ def coeff_decay_test(f: PowerSeries) -> GrowthReport:
     return classify_growth(values, levels)
 
 
-def qp_coeff_criterion(f: PowerSeries, p: float, depth: int = 8) -> GrowthReport:
-    """Coefficient-side membership functional for the invariant metric.
-
-    Evaluates, at dyadic ``r``,
-
-        F(r) = sum_n (1-r)**p (n+1)**-(p+1)
-                     * (sum_{k<=n} (k+1) a_{k+1} (n-k+1)**(p-1) r**(n-k))**2
-
-    whose boundedness over ``r`` is equivalent to a nonneg-coefficient
-    series lying in the space the exponent ``p`` names.  Each evaluation
-    certifies its own truncation by checking that the outer summands are
-    decaying at the cut; a level whose tail is not certified is recorded
-    as infinite.
-    """
-    p = float(p)
-    if not p > 0.0:
-        raise ParameterError(f"exponent p must be positive, got {p!r}")
-    a = _real_nonneg_coeffs(f, "coefficient-side membership functional")
-    n_terms = a.size - 1
-    radii = np.concatenate([[0.0], dyadic_radii(depth)])
-    levels = range(depth + 1)
-    notes = []
-    if n_terms == 0:
-        return classify_growth([0.0] * (depth + 1), levels, notes=["constant input"])
-    k = np.arange(n_terms, dtype=float)
-    u = (k + 1.0) * a[1:]
-    values = []
-    for j, r in zip(levels, radii):
-        v = (k + 1.0) ** (p - 1.0) * r ** k
-        c = np.convolve(u, v)[:n_terms]
-        n = np.arange(n_terms, dtype=float)
-        terms = (1.0 - r) ** p * (n + 1.0) ** (-(p + 1.0)) * c ** 2
-        if n_terms >= 32:
-            head, tail = np.sum(terms[-16:-8]), np.sum(terms[-8:])
-            if tail > head * (1.0 + 1e-9) + 1e-300:
-                notes.append(f"tail not certified at level {j}; recorded as infinite")
-                values.append(math.inf)
-                continue
-        values.append(float(np.sum(terms)))
-    return classify_growth(values, levels, notes=notes)
-
-
 def hinf_norm(f: PowerSeries, angles: int = 4096, radius: float = 1.0 - 2.0 ** -12) -> float:
     """Max modulus on the circle ``|z| = radius``, a sup-norm surrogate.
 
@@ -312,7 +295,11 @@ def hinf_norm(f: PowerSeries, angles: int = 4096, radius: float = 1.0 - 2.0 ** -
     if not (0.0 < radius < 1.0):
         raise ParameterError(f"radius must lie in (0, 1), got {radius!r}")
     z = radius * np.exp(2j * np.pi * np.arange(angles) / angles)
-    return float(np.max(np.abs(f.eval(z))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.max(np.abs(f.eval(z))))
+    if not math.isfinite(value):
+        raise NumericsError(f"max modulus on |z| = {radius!r} is not finite")
+    return value
 
 
 class KernelComparison(NamedTuple):
@@ -321,14 +308,7 @@ class KernelComparison(NamedTuple):
     ratio: float
 
 
-def circle_kernel_check(
-    z: complex,
-    beta: float,
-    *,
-    start_angles: int = 1024,
-    rtol: float = 1e-6,
-    max_angles: int = 1 << 22,
-) -> KernelComparison:
+def circle_kernel_check(z: complex, beta: float) -> KernelComparison:
     """Circle average of ``|1 - z e^{-i theta}|**-(1+beta)`` vs its growth law.
 
     The average is O(1) for ``beta < 0``, logarithmic in ``1/(1-|z|^2)``
@@ -344,19 +324,19 @@ def circle_kernel_check(
 
     prev = None
     est = None
-    m = start_angles
-    while m <= max_angles:
+    m = 1024
+    while m <= 1 << 22:
         theta = 2.0 * np.pi * np.arange(m) / m
         vals = np.abs(1.0 - z * np.exp(-1j * theta)) ** (-power)
         new = float(np.mean(vals))
-        if est is not None and abs(new - est) <= rtol * max(abs(new), abs(est)):
+        if est is not None and abs(new - est) <= 1e-6 * max(abs(new), abs(est)):
             est = new
             break
         prev, est = est, new
         m *= 2
     else:
         raise NumericsError(
-            f"circle average did not settle to rtol={rtol:g} by {max_angles} angles",
+            f"circle average did not settle to rtol=1e-06 by {1 << 22} angles",
             estimates=tuple(v for v in (prev, est) if v is not None),
         )
 
@@ -382,11 +362,6 @@ def two_kernel_check(
     s: float,
     r: float,
     t: float,
-    *,
-    radial_order: int = 96,
-    angular: int = 256,
-    max_doublings: int = 3,
-    agreement: float = SUP_CONVERGENCE_RTOL,
 ) -> KernelBoundCheck:
     """Disk integral of ``(1-|z|^2)^s / (|1-conj(a)z|^r |1-conj(b)z|^t)``.
 
@@ -420,7 +395,7 @@ def two_kernel_check(
         )
 
     def estimate(k: int) -> float:
-        grid = disk_grid(radial_order << k, angular << k)
+        grid = disk_grid(96 << k, 256 << k)
         vals = (
             (1.0 - np.abs(grid.nodes) ** 2) ** s
             / (
@@ -431,12 +406,12 @@ def two_kernel_check(
         return float(np.sum(grid.weights * vals))
 
     prev = estimate(0)
-    for k in range(1, max_doublings + 1):
+    for k in range(1, 4):
         est = estimate(k)
-        if abs(est - prev) <= agreement * max(abs(est), abs(prev)):
+        if abs(est - prev) <= SUP_CONVERGENCE_RTOL * max(abs(est), abs(prev)):
             return KernelBoundCheck(computed=est, bound=float(bound), ratio=est / float(bound))
         prev = est
     raise NumericsError(
-        f"disk integral did not settle to {agreement:g} after {max_doublings} grid doublings",
+        f"disk integral did not settle to {SUP_CONVERGENCE_RTOL:g} after 3 grid doublings",
         estimates=(prev, est),
     )

@@ -1,9 +1,12 @@
 import json
+import warnings
 
 import pytest
 
 from cesaro.cli import main
 from cesaro.errors import ParameterError
+from cesaro.measure import Lebesgue
+from cesaro.series import PowerSeries, cesaro_mu, write_coefficients
 from cesaro.harness import (
     SCENARIOS,
     CheckRecord,
@@ -130,6 +133,13 @@ import pathlib
 MEASURES = str(pathlib.Path(__file__).resolve().parents[1] / "measures")
 
 
+def _nested_mixture(levels: int) -> str:
+    text = '{"type": "lebesgue"}'
+    for _ in range(levels):
+        text = '{"type": "mixture", "components": [' + text + "]}"
+    return text
+
+
 class TestCli:
     def test_moments_csv(self, capsys):
         code = main(["moments", "--measure", f"{MEASURES}/lebesgue.json", "--n", "4"])
@@ -229,6 +239,62 @@ class TestCli:
             main(["seminorm", "--space", "bloch", "--p", "1", "--input", str(coeff)])
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "space, text",
+        [(["hinf"], "1e308 0\n1e308 0\n"), (["qp", "--p", "1"], "0 0\n1e300 0\n1e300 0\n")],
+        ids=["hinf", "qp"],
+    )
+    def test_seminorm_overflow_is_exit_three(self, space, text, tmp_path, capsys):
+        coeff = tmp_path / "f.txt"
+        coeff.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["seminorm", "--space", *space, "--input", str(coeff)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("numerics: ") and captured.err.count("\n") == 1
+
+    def test_seminorm_qp_small_p_is_exit_zero(self, tmp_path, capsys):
+        coeff = tmp_path / "g.txt"
+        write_coefficients(cesaro_mu(PowerSeries.constant(1.0), Lebesgue(), 400), coeff)
+        code = main(["seminorm", "--space", "qp", "--p", "0.2", "--input", str(coeff)])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["converged"] is True
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{",
+            _nested_mixture(5000),
+            _nested_mixture(33),
+            '{"type": "power_density", "alpha": "0.5"}',
+            '{"type": "power_density", "alpha": 0.5, "scale": true}',
+            '{"type": "atomic", "points": [0.1, "0.2"], "weights": [1, 1]}',
+            '{"type": "atomic", "points": [0.1, 0.2], "weights": [1e308, 1e308]}',
+        ],
+        ids=[
+            "malformed",
+            "nested_5000",
+            "nested_33",
+            "string_alpha",
+            "bool_scale",
+            "string_point",
+            "overflowing_mass",
+        ],
+    )
+    def test_bad_measure_json_is_exit_two(self, text, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["moments", "--measure", str(path), "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("space", ["qp", "lambda"])
     def test_seminorm_nan_p_is_exit_two(self, space, tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from cesaro import spaces
 from cesaro.corpus import blaschke_factor, bounded_test_functions, dyadic_atoms
 from cesaro.errors import NumericsError, ParameterError
 from cesaro.measure import Lebesgue
@@ -18,7 +19,6 @@ from cesaro.spaces import (
     coeff_decay_test,
     hinf_norm,
     lambda_norm,
-    qp_coeff_criterion,
     qp_seminorm,
     two_kernel_check,
 )
@@ -136,6 +136,94 @@ class TestQp:
         with pytest.raises(ParameterError):
             qp_seminorm(PowerSeries.monomial(1), 0.0)
 
+    def test_identity_function_bounded(self):
+        for p in (0.5, 1.0, 1.5):
+            est = qp_seminorm(PowerSeries.monomial(1), p)
+            assert est.converged and math.isfinite(est.value), p
+
+    def test_all_ones_unsettled(self):
+        # 1/(1-z) is not even Bloch: cut at order 1024 its trace is
+        # still climbing at the deepest probed level
+        est = qp_seminorm(PowerSeries(np.ones(1025)), 1.0)
+        assert not est.converged
+        assert est.trace[-1] > 1.3 * est.trace[-2]
+
+    def test_constant_gives_zero_trace(self):
+        est = qp_seminorm(PowerSeries.constant(2.0), 1.0)
+        assert est.converged
+        assert all(v == 0.0 for v in est.trace)
+
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.4])
+    def test_small_p_settles(self, log_series, p):
+        est = qp_seminorm(log_series, p)
+        assert est.converged
+        assert math.isfinite(est.value) and est.value > 0.0
+
+    def test_large_p_round_off_is_refused(self, log_series):
+        # at p = 20 the FFT round-off swamps the deep probe energies, which
+        # would otherwise come out near 1e19 instead of below sum |f'|^2 B
+        with pytest.raises(NumericsError, match="round-off"):
+            qp_seminorm(log_series, 20.0)
+
+    def test_notes_give_length_and_tail(self, log_series):
+        (note,) = qp_seminorm(log_series, 1.0).notes
+        head, fraction = note.rsplit(" ", 1)
+        assert head == "longest probe series 16384 terms; largest certified tail fraction"
+        assert float(fraction) <= spaces.QP_TAIL_RTOL
+
+    def test_uncertified_tail_is_not_converged(self, log_series, monkeypatch):
+        # too short a cap for the deep probes: the trace still settles,
+        # but the tails are not certified, so the estimate must say so
+        monkeypatch.setattr(spaces, "QP_MAX_TERMS", 1024)
+        est = qp_seminorm(log_series, 1.0)
+        assert not est.converged
+        assert est.notes[-1] == "tail not certified within 1024 terms at levels [5, 6, 7, 8]"
+
+
+class TestQpOracles:
+    """The coefficient-space probe energy against independent closed forms."""
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 1.0, 1.95])
+    def test_identity_probe_is_hypergeometric(self, p):
+        # f = z: the energy is (1-|a|^2)^p 2F1(p, p; p+2; |a|^2) / (p+1)
+        fd = PowerSeries.monomial(1).derivative().coeffs
+        mp.mp.dps = 30
+        for j in range(1, 9):
+            r = 1.0 - 2.0 ** -j
+            x = mp.mpf(r) ** 2
+            want = float((1 - x) ** p * mp.hyp2f1(p, p, p + 2, x) / (p + 1))
+            for theta in (0.0, 2.3):
+                got, _, tail = spaces._qp_probe(fd, r * cmath.exp(1j * theta), p)
+                assert got == pytest.approx(want, rel=1e-12), (j, theta)
+                assert tail <= spaces.QP_TAIL_RTOL
+
+    @pytest.mark.parametrize("p", [0.3, 1.0, 1.7])
+    def test_polynomial_probe_matches_composition(self, p):
+        # Parseval after composing with the disk automorphism: the probe
+        # energy is sum n^2 |c_n|^2 B(n, p+1) for the coefficients c of f o sigma_a
+        rng = np.random.default_rng(12)
+        f = PowerSeries(rng.normal(size=13) + 1j * rng.normal(size=13))
+        fd = f.derivative().coeffs
+        n = np.arange(1, 1500)
+        beta = np.asarray([float(mp.beta(int(k), p + 1)) for k in n])
+        for a in (0.3, -0.6j, 0.9 * cmath.exp(1j * 1.1), 0.75 * cmath.exp(-2.0j)):
+            c = compose_mobius(f, a, order=1499).coeffs[1:]
+            want = float(np.sum(n ** 2 * np.abs(c) ** 2 * beta))
+            got, _, _ = spaces._qp_probe(fd, complex(a), p)
+            assert got == pytest.approx(want, rel=1e-10), a
+
+    @pytest.mark.parametrize("p", [0.2, 1.0, 1.95, 5.0])
+    def test_level_zero_is_parseval(self, log_series, p):
+        mp.mp.dps = 30
+        want = float(
+            mp.fsum(
+                n * n * abs(mp.mpc(b)) ** 2 * mp.beta(n, p + 1)
+                for n, b in enumerate(log_series.coeffs)
+                if n
+            )
+        )
+        assert qp_seminorm(log_series, p).trace[0] == pytest.approx(want, rel=1e-12)
+
 
 class TestLambda:
     def test_identity_function_value_one(self):
@@ -193,31 +281,6 @@ class TestCoeffDecay:
     def test_rejects_short_series(self):
         with pytest.raises(ParameterError):
             coeff_decay_test(PowerSeries(np.ones(4)))
-
-
-class TestQpCoeffCriterion:
-    def test_identity_function_bounded(self):
-        rep = qp_coeff_criterion(PowerSeries.monomial(1), 1.0)
-        assert rep.bounded
-
-    def test_log_series_bounded(self, log_series):
-        rep = qp_coeff_criterion(log_series, 1.0)
-        assert rep.bounded
-
-    def test_all_ones_divergent(self):
-        # 1/(1-z) is not even Bloch, so the functional must blow up
-        f = PowerSeries(np.ones(257))
-        rep = qp_coeff_criterion(f, 1.0)
-        assert rep.verdict == "divergent"
-
-    def test_constant_gives_zero_trace(self):
-        rep = qp_coeff_criterion(PowerSeries.constant(2.0), 1.0)
-        assert rep.bounded
-        assert all(v == 0.0 for v in rep.values)
-
-    def test_rejects_nonpositive_p(self):
-        with pytest.raises(ParameterError):
-            qp_coeff_criterion(PowerSeries.monomial(1), 0.0)
 
 
 class TestHinf:
