@@ -59,6 +59,9 @@ DISAGREEMENT = "disagreement"
 # probe at least 8 quadrature panels inside the graded grid
 DEPTH_RANGE = (4, 52)
 
+# moment_test samples n = 2**j for j = 0 .. MOMENT_TOP
+MOMENT_TOP = 14
+
 
 def _check_s(s: float) -> float:
     s = float(s)
@@ -124,18 +127,15 @@ def box_test(mu: MeasureSpec, s: float, depth: int = 18) -> GrowthReport:
     return classify_growth(values, range(1, depth + 1))
 
 
-def moment_test(mu: MeasureSpec, s: float, limit: int = 1 << 14) -> GrowthReport:
-    """Trace ``(1+n)**s * mu_n`` along ``n = 2**j``.
+def moment_test(mu: MeasureSpec, s: float) -> GrowthReport:
+    """Trace ``(1+n)**s * mu_n`` along ``n = 2**j``, ``j <= MOMENT_TOP``.
 
     The moments of an s-Carleson measure decay like ``(1+n)**-s``, so the
     trace stays bounded exactly on the Carleson side.
     """
     s = _check_s(s)
-    if limit < 8:
-        raise ParameterError(f"moment limit too small to classify: {limit}")
-    top = int(math.floor(math.log2(limit)))
-    mus = moments_array(mu, 1 << top)
-    levels = range(top + 1)
+    mus = moments_array(mu, 1 << MOMENT_TOP)
+    levels = range(MOMENT_TOP + 1)
     values = [(1.0 + (1 << j)) ** s * mus[1 << j] for j in levels]
     return classify_growth(values, levels)
 
@@ -220,7 +220,6 @@ def is_s_carleson(
     depth: int = 18,
     t: float = 1.0,
     r: float | None = None,
-    moment_limit: int = 1 << 14,
 ) -> CarlesonVerdict:
     """Run all criteria and report their consensus.
 
@@ -237,7 +236,7 @@ def is_s_carleson(
         raise ParameterError(f"probe depth must lie in [{lo}, {hi}], got {depth!r}")
     reports = {
         "box": box_test(mu, s, depth=depth),
-        "moment": moment_test(mu, s, limit=moment_limit),
+        "moment": moment_test(mu, s),
         "integral_real": integral_test_real(
             mu, s, t=t, r=s / 2.0 if r is None else r, depth=depth
         ),

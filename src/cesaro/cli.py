@@ -26,8 +26,8 @@ from typing import Sequence
 
 from .carleson import DISAGREEMENT, is_s_carleson
 from .errors import MeasureValidationError, NumericsError, ParameterError
-from .harness import SCENARIOS, ScenarioReport, run_all
-from .measure import load_measure, moments
+from .harness import SCENARIOS, run_all
+from .measure import load_measure, moments_array
 from .series import (
     DEFAULT_ORDER,
     PowerSeries,
@@ -37,7 +37,7 @@ from .series import (
 )
 from .spaces import SeminormEstimate, bloch_seminorm, hinf_norm, lambda_norm, qp_seminorm
 
-__all__ = ["main", "cli_main"]
+__all__ = ["main"]
 
 SCHEMA_VERSION = 1
 
@@ -68,8 +68,7 @@ def _write_traces(trace_dir: str, named: Sequence[tuple[str, Sequence[int], Sequ
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     mu = load_measure(args.measure)
-    seq = moments(mu, args.n)
-    lines = "".join(f"{n},{seq[n]!r}\n" for n in range(len(seq)))
+    lines = "".join(f"{n},{float(v)!r}\n" for n, v in enumerate(moments_array(mu, args.n)))
     _emit(lines, args.out)
     return 0
 
@@ -227,9 +226,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-
-
-cli_main = main
 
 
 if __name__ == "__main__":

@@ -47,14 +47,14 @@ class LabeledMeasure:
     is_carleson: bool
 
 
-def dyadic_atoms(weight_exponent: float, count: int = DYADIC_ATOM_COUNT) -> Atomic:
+def dyadic_atoms(weight_exponent: float) -> Atomic:
     """Atoms at ``1 - 2**-k`` with weights ``2**(-k*weight_exponent)``.
 
     The tail at ``1 - 2**-j`` is a geometric sum comparable to
     ``2**(-j*weight_exponent)``, so the measure has tail order exactly
     ``weight_exponent``.
     """
-    k = np.arange(1, count + 1)
+    k = np.arange(1, DYADIC_ATOM_COUNT + 1)
     return Atomic(
         points=tuple(1.0 - 0.5 ** kk for kk in k),
         weights=tuple(2.0 ** (-weight_exponent * kk) for kk in k),
@@ -90,25 +90,25 @@ def corpus_entry(name: str) -> LabeledMeasure:
     raise KeyError(f"no corpus measure named {name!r}")
 
 
-def blaschke_factor(a: complex, order: int = DEFAULT_ORDER) -> PowerSeries:
-    """Series of ``(a - z)/(1 - conj(a) z)``, unit modulus on the boundary."""
+def blaschke_factor(a: complex) -> PowerSeries:
+    """Series of ``(a - z)/(1 - conj(a) z)`` to ``DEFAULT_ORDER``, unit modulus on the boundary."""
     a = complex(a)
     if abs(a) >= 1.0:
         raise ValueError("|a| must be below 1")
-    coeffs = np.empty(order + 1, dtype=np.complex128)
+    coeffs = np.empty(DEFAULT_ORDER + 1, dtype=np.complex128)
     coeffs[0] = a
-    n = np.arange(1, order + 1)
+    n = np.arange(1, DEFAULT_ORDER + 1)
     coeffs[1:] = (abs(a) ** 2 - 1.0) * np.conj(a) ** (n - 1)
     return PowerSeries(coeffs)
 
 
-def bounded_test_functions(order: int = DEFAULT_ORDER) -> tuple[tuple[str, PowerSeries], ...]:
+def bounded_test_functions() -> tuple[tuple[str, PowerSeries], ...]:
     """Named sup-norm-1 test functions used by the range scenarios."""
     one = PowerSeries.constant(1.0)
     cube = PowerSeries.monomial(3)
-    factor = blaschke_factor(0.5, order)
-    other = blaschke_factor(-0.3 + 0.4j, order)
-    pair = PowerSeries(np.convolve(factor.coeffs, other.coeffs)[: order + 1])
+    factor = blaschke_factor(0.5)
+    other = blaschke_factor(-0.3 + 0.4j)
+    pair = PowerSeries(np.convolve(factor.coeffs, other.coeffs)[: DEFAULT_ORDER + 1])
     return (
         ("constant_one", one),
         ("cube", cube),

@@ -2,8 +2,9 @@
 
 A scenario produces a ``ScenarioReport``: a claim sentence, the inputs,
 a list of named checks with expected/observed values, and the traces
-behind them.  Reports are plain data and round-trip losslessly through
-their dict form, which is what the CLI serializes.
+behind them.  Reports are plain data; the CLI serializes their dict form.
+Every scenario runs at the fixed inputs below and records them in its
+report.
 
 Scenario ids:
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .carleson import (
     box_test,
     is_s_carleson,
 )
-from .corpus import LabeledMeasure, bounded_test_functions, corpus_entry, labeled_corpus
+from .corpus import bounded_test_functions, corpus_entry, labeled_corpus
 from .errors import NumericsError, ParameterError
 from .measure import Lebesgue, MeasureSpec, PowerDensity, measure_to_dict
 from .numerics import quad_measure
@@ -54,9 +55,22 @@ __all__ = [
     "run_kernel_membership",
     "run_qp_range",
     "run_lambda_range",
-    "run_scenario",
     "run_all",
 ]
+
+# dyadic probe depth of every corpus battery
+BATTERY_DEPTH = 18
+# divergent-integral: order s, kernel exponent t, and the exponents
+# r >= s at which the inner integral must diverge
+DIVERGENT_S, DIVERGENT_T = 0.5, 1.0
+DIVERGENT_R_VALUES = (0.5, 0.75)
+# log-series needs order >= 256 for its dyadic energy blocks j = 6, 7, 8
+LOG_SERIES_ORDER = DEFAULT_ORDER
+# qp-range exponents, inside the stated range 0 < p < 2: at p = 0 the
+# averaged constant already fails membership (its energy sum diverges)
+QP_P_VALUES = (1.0, 1.5)
+# lambda-range (s, p) cases, each with p > max(1, 1/s)
+LAMBDA_CASES = ((0.5, 3.0), (1.0, 2.0))
 
 
 @dataclass(frozen=True)
@@ -76,15 +90,6 @@ class CheckRecord:
             "pass": self.passed,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckRecord":
-        return cls(
-            name=data["name"],
-            expected=data["expected"],
-            observed=data["observed"],
-            passed=data["pass"],
-        )
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -96,14 +101,6 @@ class TraceRecord:
 
     def to_dict(self) -> dict:
         return {"name": self.name, "levels": list(self.levels), "values": list(self.values)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceRecord":
-        return cls(
-            name=data["name"],
-            levels=tuple(int(x) for x in data["levels"]),
-            values=tuple(float(x) for x in data["values"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -128,17 +125,6 @@ class ScenarioReport:
             "pass": self.passed,
             "traces": [t.to_dict() for t in self.traces],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioReport":
-        return cls(
-            scenario=data["scenario"],
-            claim=data["claim"],
-            inputs=data["inputs"],
-            checks=tuple(CheckRecord.from_dict(c) for c in data["checks"]),
-            passed=data["pass"],
-            traces=tuple(TraceRecord.from_dict(t) for t in data["traces"]),
-        )
 
 
 def _report(
@@ -175,16 +161,12 @@ def _growth_traces(prefix: str, reports: dict) -> list[TraceRecord]:
     ]
 
 
-def run_criterion_equivalence(
-    entries: Iterable[LabeledMeasure] | None = None,
-    *,
-    depth: int = 18,
-) -> ScenarioReport:
+def run_criterion_equivalence() -> ScenarioReport:
     """All five tail criteria must reproduce each corpus label."""
-    entries = tuple(entries) if entries is not None else labeled_corpus()
+    entries = labeled_corpus()
     checks, traces = [], []
     for entry in entries:
-        verdict = _corpus_verdict(entry.measure, entry.order, depth)
+        verdict = _corpus_verdict(entry.measure, entry.order, BATTERY_DEPTH)
         expected = CARLESON if entry.is_carleson else NOT_CARLESON
         checks.append(
             CheckRecord(
@@ -202,7 +184,7 @@ def run_criterion_equivalence(
         "stay bounded together or diverge together; every corpus label must "
         "be reproduced by all five.",
         {
-            "depth": depth,
+            "depth": BATTERY_DEPTH,
             "measures": [e.name for e in entries],
         },
         checks,
@@ -210,13 +192,7 @@ def run_criterion_equivalence(
     )
 
 
-def run_divergent_integral(
-    s: float = 0.5,
-    t: float = 1.0,
-    r_values: Sequence[float] = (0.5, 0.75),
-    *,
-    probe_depth: int = 4,
-) -> ScenarioReport:
+def run_divergent_integral() -> ScenarioReport:
     """The kernel criterion's exponent restriction r < s is sharp.
 
     For the density ``(1-x)**(s-1)`` (which satisfies the order-s tail
@@ -225,16 +201,7 @@ def run_divergent_integral(
     report a non-integrable endpoint exponent while the box criterion
     still certifies the measure.
     """
-    s = float(s)
-    t = float(t)
-    if not (s > 0.0 and t > 0.0):
-        raise ParameterError("s and t must be positive")
-    r_values = tuple(float(r) for r in r_values)
-    for r in r_values:
-        if not r >= s:
-            raise ParameterError(
-                f"r={r!r} is below s={s!r}; the divergence regime needs r >= s"
-            )
+    s, t = DIVERGENT_S, DIVERGENT_T
     mu = PowerDensity(s - 1.0)
     box = box_test(mu, s)
     checks = [
@@ -246,8 +213,8 @@ def run_divergent_integral(
         )
     ]
     traces = [TraceRecord(name="box", levels=box.levels, values=box.values)]
-    probes = [1.0 - 0.5 ** j for j in range(1, probe_depth + 1)]
-    for r in r_values:
+    probes = [1.0 - 0.5 ** j for j in range(1, 5)]
+    for r in DIVERGENT_R_VALUES:
         power = s + t - r
         diverged = []
         for a in probes:
@@ -279,7 +246,7 @@ def run_divergent_integral(
             "measure": measure_to_dict(mu),
             "s": s,
             "t": t,
-            "r_values": list(r_values),
+            "r_values": list(DIVERGENT_R_VALUES),
             "probes": probes,
         },
         checks,
@@ -292,10 +259,9 @@ def run_divergent_integral(
 _ENERGY_BAND = (0.64, 0.70)
 
 
-def run_log_series(order: int = DEFAULT_ORDER) -> ScenarioReport:
+def run_log_series() -> ScenarioReport:
     """The averaged constant is the truncated ``log(1/(1-z))/z``."""
-    if order < 256:
-        raise ParameterError("needs order >= 256 for the dyadic energy blocks")
+    order = LOG_SERIES_ORDER
     mu = Lebesgue()
     g = cesaro_mu(PowerSeries.constant(1.0), mu, order)
     n = np.arange(order + 1, dtype=float)
@@ -366,19 +332,15 @@ def run_log_series(order: int = DEFAULT_ORDER) -> ScenarioReport:
     )
 
 
-def run_kernel_membership(
-    entries: Iterable[LabeledMeasure] | None = None,
-    *,
-    order: int = 1 << 14,
-    depth: int = 18,
-) -> ScenarioReport:
+def run_kernel_membership() -> ScenarioReport:
     """Kernel-series decay answers the same question as the criterion battery."""
-    entries = tuple(entries) if entries is not None else labeled_corpus()
+    entries = labeled_corpus()
+    order = 1 << 14
     checks, traces = [], []
     for entry in entries:
         f = kernel_series(entry.measure, entry.order, order)
         decay = coeff_decay_test(f)
-        verdict = _corpus_verdict(entry.measure, entry.order, depth)
+        verdict = _corpus_verdict(entry.measure, entry.order, BATTERY_DEPTH)
         expect_bounded = verdict.consensus == CARLESON
         checks.append(
             CheckRecord(
@@ -398,18 +360,13 @@ def run_kernel_membership(
         "measure satisfies the order-s tail condition, so its coefficient "
         "decay verdict must match the criterion battery on every corpus "
         "measure.",
-        {"order": order, "depth": depth, "measures": [e.name for e in entries]},
+        {"order": order, "depth": BATTERY_DEPTH, "measures": [e.name for e in entries]},
         checks,
         traces,
     )
 
 
-def run_qp_range(
-    p_values: Sequence[float] = (1.0, 1.5),
-    *,
-    order: int = DEFAULT_ORDER,
-    necessity_order: int = 1 << 12,
-) -> ScenarioReport:
+def run_qp_range() -> ScenarioReport:
     """Bounded functions map into the invariant-metric space iff the tail holds.
 
     Sufficiency: the averaging transform of each sup-norm-1 test function
@@ -418,20 +375,13 @@ def run_qp_range(
     condition, already the transform of the constant 1 has coefficients
     decaying too slowly for any of the target spaces.
     """
-    p_values = tuple(float(p) for p in p_values)
-    for p in p_values:
-        if not (0.0 < p < 2.0):
-            raise ParameterError(
-                f"exponent p must lie in (0, 2), got {p!r}: at p = 0 the "
-                "averaged constant already fails membership (its energy sum "
-                "diverges), and p >= 2 is outside the stated range"
-            )
+    necessity_order = 1 << 12
     mu_pos = Lebesgue()
     mu_neg = corpus_entry("dyadic_half_at_1").measure
     checks, traces = [], []
-    for fname, f in bounded_test_functions(order):
-        g = cesaro_mu(f, mu_pos, order)
-        for p in p_values:
+    for fname, f in bounded_test_functions():
+        g = cesaro_mu(f, mu_pos)
+        for p in QP_P_VALUES:
             est = qp_seminorm(g, p)
             checks.append(
                 CheckRecord(
@@ -459,7 +409,7 @@ def run_qp_range(
             passed=exponent_ok,
         )
     )
-    bloch = bloch_seminorm(g_neg, depth=10)
+    bloch = bloch_seminorm(g_neg)
     checks.append(
         CheckRecord(
             name="necessity.dyadic_half.bloch_unsettled",
@@ -480,8 +430,8 @@ def run_qp_range(
         "the transform of the constant 1, whose coefficients are the "
         "moments themselves.",
         {
-            "p_values": list(p_values),
-            "order": order,
+            "p_values": list(QP_P_VALUES),
+            "order": DEFAULT_ORDER,
             "necessity_order": necessity_order,
             "positive_measure": measure_to_dict(mu_pos),
             "negative_measure": measure_to_dict(mu_neg),
@@ -491,29 +441,16 @@ def run_qp_range(
     )
 
 
-def run_lambda_range(
-    cases: Sequence[tuple[float, float]] = ((0.5, 3.0), (1.0, 2.0)),
-    *,
-    order: int = DEFAULT_ORDER,
-    depth: int = 12,
-    necessity_order: int = 1 << 14,
-) -> ScenarioReport:
+def run_lambda_range() -> ScenarioReport:
     """Mean-Lipschitz analog of the range scenario, with the s = 1 reduction."""
-    cases = tuple((float(s), float(p)) for s, p in cases)
-    for s, p in cases:
-        if not s > 0.0:
-            raise ParameterError(f"order s must be positive, got {s!r}")
-        if not p > max(1.0, 1.0 / s):
-            raise ParameterError(
-                f"exponent p must exceed max(1, 1/s) = {max(1.0, 1.0 / s)!r}, got {p!r}"
-            )
+    necessity_order = 1 << 14
     necessity_for = {0.5: "dyadic_quarter_at_half", 1.0: "dyadic_half_at_1", 2.0: "power_mid_at_2"}
     checks, traces = [], []
-    for s, p in cases:
+    for s, p in LAMBDA_CASES:
         mu_pos = PowerDensity(s - 1.0)
-        for fname, f in bounded_test_functions(order):
-            h = cesaro_mu_s(f, mu_pos, s, order)
-            lam = lambda_norm(h, p, depth=depth)
+        for fname, f in bounded_test_functions():
+            h = cesaro_mu_s(f, mu_pos, s)
+            lam = lambda_norm(h, p)
             checks.append(
                 CheckRecord(
                     name=f"lambda_converged.s={s:g}.p={p:g}.{fname}",
@@ -540,9 +477,9 @@ def run_lambda_range(
             )
         if s == 1.0:
             mu = Lebesgue()
-            fname, f = "blaschke_half", dict(bounded_test_functions(order))["blaschke_half"]
-            via_s = cesaro_mu_s(f, mu, 1.0, order)
-            direct = cesaro_mu(f, mu, order)
+            f = dict(bounded_test_functions())["blaschke_half"]
+            via_s = cesaro_mu_s(f, mu, 1.0)
+            direct = cesaro_mu(f, mu)
             gap = float(np.max(np.abs(via_s.coeffs - direct.coeffs)))
             checks.append(
                 CheckRecord(
@@ -580,8 +517,8 @@ def run_lambda_range(
         "weighted transform reduces to the plain averaging transform "
         "coefficient by coefficient.",
         {
-            "cases": [list(c) for c in cases],
-            "order": order,
+            "cases": [list(c) for c in LAMBDA_CASES],
+            "order": DEFAULT_ORDER,
             "necessity_order": necessity_order,
         },
         checks,
@@ -597,14 +534,6 @@ SCENARIOS = {
     "qp-range": run_qp_range,
     "lambda-range": run_lambda_range,
 }
-
-
-def run_scenario(name: str) -> ScenarioReport:
-    if name not in SCENARIOS:
-        raise ParameterError(
-            f"unknown scenario {name!r}; choose from {', '.join(SCENARIOS)} or 'all'"
-        )
-    return SCENARIOS[name]()
 
 
 def run_all(names: Sequence[str] | None = None) -> tuple[ScenarioReport, ...]:

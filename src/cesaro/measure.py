@@ -27,9 +27,7 @@ __all__ = [
     "Lebesgue",
     "Mixture",
     "MeasureSpec",
-    "MomentSequence",
     "moment",
-    "moments",
     "moments_array",
     "tail_mass",
     "total_mass",
@@ -114,29 +112,6 @@ MeasureSpec = Union[Atomic, PowerDensity, Lebesgue, Mixture]
 MAX_NESTING = 32
 
 
-@dataclass(frozen=True)
-class MomentSequence:
-    """Moments ``mu_0 .. mu_N`` with the evaluation method of each entry.
-
-    Values are nonnegative and nonincreasing (the integrand ``t**n``
-    decreases in ``n`` pointwise on [0, 1)); a measure with all its mass
-    at ``t = 0`` hits zero from ``mu_1`` on.
-    """
-
-    values: tuple[float, ...]
-    methods: tuple[str, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, n: int) -> float:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _check_order(n: int) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise ParameterError(f"moment order must be a nonnegative integer, got {n!r}")
@@ -168,14 +143,6 @@ def moments_array(mu: MeasureSpec, order: int) -> np.ndarray:
 def moment(mu: MeasureSpec, n: int) -> float:
     """The moment ``integral of t**n d mu(t)``."""
     return float(moments_array(mu, _check_order(n))[-1])
-
-
-def moments(mu: MeasureSpec, order: int) -> MomentSequence:
-    values = moments_array(mu, order)
-    return MomentSequence(
-        values=tuple(float(v) for v in values),
-        methods=("closed-form",) * len(values),
-    )
 
 
 def tail_mass(mu: MeasureSpec, t: float) -> float:

@@ -218,15 +218,12 @@ class GrowthReport:
 def classify_growth(
     values: Sequence[float],
     levels: Iterable[int] | None = None,
-    *,
-    threshold: float = GROWTH_THRESHOLD,
-    notes: Sequence[str] = (),
 ) -> GrowthReport:
     """Classify a dyadic trace as bounded or divergent.
 
     Any ``+inf`` sample short-circuits to divergent.  Otherwise a least
     squares line through ``(j, log S_j)`` over the trailing half of the
-    finite samples decides: slope below ``threshold`` per level is
+    finite samples decides: slope below ``GROWTH_THRESHOLD`` per level is
     bounded.  Fewer than 4 finite samples raise
     ``InconclusiveGrowthError``.
     """
@@ -237,7 +234,7 @@ def classify_growth(
         lev = np.asarray(list(levels), dtype=int)
     if vals.shape != lev.shape:
         raise ParameterError(f"{vals.size} values but {lev.size} levels")
-    note_list = list(notes)
+    note_list = []
 
     def report(slope: float, exponent: float, verdict: str) -> GrowthReport:
         return GrowthReport(
@@ -246,7 +243,7 @@ def classify_growth(
             slope=slope,
             exponent=exponent,
             verdict=verdict,
-            threshold=threshold,
+            threshold=GROWTH_THRESHOLD,
             notes=tuple(note_list),
         )
 
@@ -266,7 +263,7 @@ def classify_growth(
     y = np.log(np.maximum(vals[take], _LOG_FLOOR))
     slope = float(np.polyfit(lev[take].astype(float), y, 1)[0])
     exponent = slope / math.log(2.0)
-    verdict = BOUNDED if slope < threshold else DIVERGENT
+    verdict = BOUNDED if slope < GROWTH_THRESHOLD else DIVERGENT
     return report(slope, exponent, verdict)
 
 
@@ -276,8 +273,6 @@ def sup_on_dyadic_boundary(
     angles: int = 1,
     *,
     start_level: int = 1,
-    threshold: float = GROWTH_THRESHOLD,
-    notes: Sequence[str] = (),
 ) -> GrowthReport:
     """Trace ``S_j = max over angles of h(a)`` at ``|a| = 1 - 2**-j``.
 
@@ -292,9 +287,4 @@ def sup_on_dyadic_boundary(
     for radius in radii:
         probes = radius * np.exp(1j * theta) if angles > 1 else np.asarray([radius + 0j])
         values.append(max(float(h(complex(a))) for a in probes))
-    return classify_growth(
-        values,
-        range(start_level, depth + 1),
-        threshold=threshold,
-        notes=notes,
-    )
+    return classify_growth(values, range(start_level, depth + 1))

@@ -16,14 +16,13 @@ cross-check the transform tests lean on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ParameterError
+from .errors import NumericsError, ParameterError
 from .measure import MeasureSpec, moments_array
 from .numerics import quad_measure
 
@@ -42,6 +41,8 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 400
+# circle samples behind compose_mobius's DFT
+MOBIUS_SAMPLES = 4096
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -108,20 +109,11 @@ class PowerSeries:
     def derivative(self) -> "PowerSeries":
         if self.order == 0:
             return PowerSeries(np.zeros(1))
-        n = np.arange(1, self.order + 1)
-        return PowerSeries(self.coeffs[1:] * n)
-
-    def tail_bound(self, r: float) -> float:
-        """Geometric bound on the mass dropped past the truncation order.
-
-        Worst-case sum of ``|a| * r**n`` over ``n > order`` assuming later
-        coefficients do not exceed the largest retained one; a quick check
-        that an evaluation radius ``r`` is safe for this truncation.
-        """
-        if not (0.0 <= r < 1.0):
-            raise ParameterError(f"radius must lie in [0, 1), got {r!r}")
-        top = float(np.max(np.abs(self.coeffs)))
-        return top * r ** (self.order + 1) / (1.0 - r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = self.coeffs[1:] * np.arange(1, self.order + 1)
+        if not np.all(np.isfinite(coeffs)):
+            raise NumericsError("derivative coefficients overflow")
+        return PowerSeries(coeffs)
 
 
 def gamma_ratio(n, s: float):
@@ -142,7 +134,7 @@ def gamma_ratio(n, s: float):
     return out
 
 
-def _check_transform_args(mu: MeasureSpec, order: int) -> int:
+def _check_order(order: int) -> int:
     if order < 0:
         raise ParameterError(f"order must be nonnegative, got {order}")
     return int(order)
@@ -150,7 +142,7 @@ def _check_transform_args(mu: MeasureSpec, order: int) -> int:
 
 def cesaro_mu(f: PowerSeries, mu: MeasureSpec, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Averaging transform ``b_n = mu_n * (a_0 + ... + a_n)``."""
-    order = _check_transform_args(mu, order)
+    order = _check_order(order)
     partial = np.cumsum(f.padded(order))
     return PowerSeries(moments_array(mu, order) * partial)
 
@@ -159,7 +151,7 @@ def cesaro_mu_s(
     f: PowerSeries, mu: MeasureSpec, s: float, order: int = DEFAULT_ORDER
 ) -> PowerSeries:
     """Weighted transform ``b_n = mu_n * sum_k gamma_ratio(n-k, s) a_k``."""
-    order = _check_transform_args(mu, order)
+    order = _check_order(order)
     kern = gamma_ratio(np.arange(order + 1), s)
     mixed = np.convolve(f.padded(order), kern)[: order + 1]
     return PowerSeries(moments_array(mu, order) * mixed)
@@ -172,7 +164,7 @@ def kernel_series(mu: MeasureSpec, s: float, order: int = DEFAULT_ORDER) -> Powe
     of ``integral of (1-tz)**-s d mu(t)``; its coefficient decay encodes
     whether ``mu`` satisfies the order-``s`` tail condition.
     """
-    order = _check_transform_args(mu, order)
+    order = _check_order(order)
     kern = gamma_ratio(np.arange(order + 1), s)
     return PowerSeries(kern * moments_array(mu, order))
 
@@ -202,14 +194,12 @@ def integral_rep_eval(
     return complex(quad_measure(g, mu))
 
 
-def compose_mobius(
-    f: PowerSeries, b: complex, order: int | None = None, samples: int = 4096
-) -> PowerSeries:
+def compose_mobius(f: PowerSeries, b: complex, order: int | None = None) -> PowerSeries:
     """Taylor coefficients of ``f((b - z) / (1 - conj(b) z))``.
 
     ``f`` is a polynomial, so the composition is analytic on a disk of
     radius ``1/|b| > 1`` and its coefficients come cleanly off a DFT of
-    samples on the unit circle.
+    ``MOBIUS_SAMPLES`` samples on the unit circle.
     """
     b = complex(b)
     if abs(b) >= 1.0:
@@ -218,12 +208,12 @@ def compose_mobius(
         order = f.order
     if order < 0:
         raise ParameterError(f"order must be nonnegative, got {order}")
-    if samples <= order:
-        raise ParameterError(f"need more than {order} samples, got {samples}")
-    w = np.exp(2j * np.pi * np.arange(samples) / samples)
+    if order >= MOBIUS_SAMPLES:
+        raise ParameterError(f"order must stay below {MOBIUS_SAMPLES}, got {order}")
+    w = np.exp(2j * np.pi * np.arange(MOBIUS_SAMPLES) / MOBIUS_SAMPLES)
     points = (b - w) / (1.0 - np.conj(b) * w)
     vals = _horner(f.coeffs, points)
-    coeffs = np.fft.fft(vals) / samples
+    coeffs = np.fft.fft(vals) / MOBIUS_SAMPLES
     return PowerSeries(coeffs[: order + 1])
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .errors import NumericsError, ParameterError
 from .numerics import (
@@ -24,7 +25,8 @@ from .numerics import (
     disk_grid,
     dyadic_radii,
 )
-from .series import PowerSeries, _horner, gamma_ratio
+# bench/tracer.py wraps _horner under every module that imports it
+from .series import PowerSeries, _horner, gamma_ratio  # noqa: F401
 
 __all__ = [
     "SeminormEstimate",
@@ -39,6 +41,18 @@ __all__ = [
     "KernelBoundCheck",
     "two_kernel_check",
 ]
+
+# Mp doubles its angle count from MP_START_ANGLES until two circle means
+# agree to MP_RTOL, and gives up past MP_MAX_ANGLES
+MP_START_ANGLES = 64
+MP_RTOL = 1e-8
+MP_MAX_ANGLES = 1 << 20
+
+# dyadic depth and angles per circle of each sweep, and the hinf circle
+BLOCH_DEPTH, BLOCH_ANGLES = 10, 64
+QP_DEPTH, QP_ANGLES = 8, 8
+LAMBDA_DEPTH = 12
+HINF_RADIUS, HINF_ANGLES = 1.0 - 2.0 ** -12, 4096
 
 # relative movement of the running supremum below which a trace counts
 # as settled; also the grid-agreement tolerance for two_kernel_check
@@ -88,20 +102,15 @@ def _running_sup_settled(trace: np.ndarray, rel: float = SUP_CONVERGENCE_RTOL) -
     return (last - prev) <= rel * last
 
 
-def Mp(
-    f: PowerSeries,
-    r: float,
-    p: float,
-    *,
-    start_angles: int = 64,
-    rtol: float = 1e-8,
-    max_angles: int = 1 << 17,
-) -> float:
+def Mp(f: PowerSeries, r: float, p: float) -> float:
     """Integral mean ``(average of |f|**p over the circle |z|=r)**(1/p)``.
 
     Uniform angular sampling is the trapezoid rule for periodic
-    integrands, so the angle count doubles until two estimates agree to
-    ``rtol``; running out of angles raises ``NumericsError``.
+    integrands, so the angle count doubles from ``MP_START_ANGLES`` until
+    two estimates agree to ``MP_RTOL``; running out of angles raises
+    ``NumericsError``.  The ``m`` samples of a polynomial are exactly
+    ``m * ifft`` of its coefficients ``c_n r**n`` folded modulo ``m``, so
+    no angle count is too small for the degree.
     """
     r = float(r)
     p = float(p)
@@ -109,18 +118,25 @@ def Mp(
         raise ParameterError(f"radius must lie in [0, 1), got {r!r}")
     if not p >= 1.0:
         raise ParameterError(f"integral-mean exponent must be >= 1, got {p!r}")
+    scaled = f.coeffs * r ** np.arange(f.coeffs.size)
     prev = None
     est = None
-    m = start_angles
-    while m <= max_angles:
-        z = r * np.exp(2j * np.pi * np.arange(m) / m)
-        new = float(np.mean(np.abs(_horner(f.coeffs, z)) ** p) ** (1.0 / p))
-        if est is not None and abs(new - est) <= rtol * max(new, est):
+    m = MP_START_ANGLES
+    while m <= MP_MAX_ANGLES:
+        with np.errstate(over="ignore", invalid="ignore"):
+            folded = np.pad(scaled, (0, -scaled.size % m)).reshape(-1, m).sum(axis=0)
+            # unscaled inverse FFT in place: no second m-point complex buffer
+            modulus = np.abs(np.fft.ifft(folded, norm="forward", out=folded))
+            modulus **= p
+            new = float(np.mean(modulus) ** (1.0 / p))
+        if not math.isfinite(new):
+            raise NumericsError(f"circle mean at r = {r!r} is not finite")
+        if est is not None and abs(new - est) <= MP_RTOL * max(new, est):
             return new
         prev, est = est, new
         m *= 2
     raise NumericsError(
-        f"circle mean did not settle to rtol={rtol:g} by {max_angles} angles",
+        f"circle mean did not settle to rtol={MP_RTOL:g} by {MP_MAX_ANGLES} angles",
         estimates=tuple(v for v in (prev, est) if v is not None),
     )
 
@@ -133,17 +149,19 @@ def _dyadic_circle_levels(depth: int, angles: int):
         yield j, radius * np.exp(1j * theta)
 
 
-def bloch_seminorm(f: PowerSeries, depth: int = 10, angles: int = 64) -> SeminormEstimate:
+def bloch_seminorm(f: PowerSeries) -> SeminormEstimate:
     """Supremum of ``(1 - |z|**2) |f'(z)|`` over a dyadic disk grid."""
     fd = f.derivative()
     trace = []
-    for _, z in _dyadic_circle_levels(depth, angles):
-        vals = (1.0 - np.abs(z) ** 2) * np.abs(fd.eval(z))
-        trace.append(float(np.max(vals)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, z in _dyadic_circle_levels(BLOCH_DEPTH, BLOCH_ANGLES):
+            trace.append(float(np.max((1.0 - np.abs(z) ** 2) * np.abs(fd.eval(z)))))
     arr = np.asarray(trace)
+    if not np.all(np.isfinite(arr)):
+        raise NumericsError("Bloch trace is not finite")
     return SeminormEstimate(
         value=float(np.max(arr)),
-        levels=tuple(range(depth + 1)),
+        levels=tuple(range(BLOCH_DEPTH + 1)),
         trace=tuple(trace),
         converged=_running_sup_settled(arr),
     )
@@ -158,7 +176,8 @@ def _qp_probe(fd: np.ndarray, a: complex, p: float) -> tuple[float, int, float]:
     series of ratio ``rho**2``: the certified tail.
     """
     r, theta = abs(a), math.atan2(a.imag, a.real)
-    l1 = float(np.sum(np.abs(fd)))
+    with np.errstate(over="ignore"):
+        l1 = float(np.sum(np.abs(fd)))
     length = 1 << math.ceil(math.log2(fd.size + 40.0 / (1.0 - r)))
     while True:
         length = min(length, QP_MAX_TERMS)
@@ -191,7 +210,7 @@ def _qp_probe(fd: np.ndarray, a: complex, p: float) -> tuple[float, int, float]:
         length *= 2
 
 
-def qp_seminorm(f: PowerSeries, p: float, depth: int = 8, angles: int = 8) -> SeminormEstimate:
+def qp_seminorm(f: PowerSeries, p: float) -> SeminormEstimate:
     """Invariant-metric seminorm ``sup_a integral |f'|^2 (1-|sigma_a|^2)^p dA``.
 
     As ``1-|sigma_a(z)|^2 = (1-|a|^2)(1-|z|^2)/|1-conj(a)z|^2`` and the
@@ -209,7 +228,7 @@ def qp_seminorm(f: PowerSeries, p: float, depth: int = 8, angles: int = 8) -> Se
         raise ParameterError(f"exponent p must be positive, got {p!r}")
     fd = f.derivative().coeffs
     trace, longest, worst, uncertified = [], 0, 0.0, []
-    for j, probes in _dyadic_circle_levels(depth, angles):
+    for j, probes in _dyadic_circle_levels(QP_DEPTH, QP_ANGLES):
         best = 0.0
         for a in probes:
             energy, length, tail = _qp_probe(fd, complex(a), p)
@@ -226,25 +245,25 @@ def qp_seminorm(f: PowerSeries, p: float, depth: int = 8, angles: int = 8) -> Se
         notes.append(f"tail not certified within {QP_MAX_TERMS} terms at levels {uncertified}")
     return SeminormEstimate(
         value=float(np.max(arr)),
-        levels=tuple(range(depth + 1)),
+        levels=tuple(range(QP_DEPTH + 1)),
         trace=tuple(trace),
         converged=_running_sup_settled(arr) and not uncertified,
         notes=tuple(notes),
     )
 
 
-def lambda_norm(f: PowerSeries, p: float, depth: int = 12) -> SeminormEstimate:
+def lambda_norm(f: PowerSeries, p: float) -> SeminormEstimate:
     """Mean-Lipschitz seminorm ``sup_r (1-r)**(1-1/p) Mp(r, f', p)``, p > 1."""
     p = float(p)
     if not p > 1.0:
         raise ParameterError(f"mean-Lipschitz exponent must exceed 1, got {p!r}")
     fd = f.derivative()
-    radii = np.concatenate([[0.0], dyadic_radii(depth)])
+    radii = np.concatenate([[0.0], dyadic_radii(LAMBDA_DEPTH)])
     trace = [float((1.0 - r) ** (1.0 - 1.0 / p) * Mp(fd, r, p)) for r in radii]
     arr = np.asarray(trace)
     return SeminormEstimate(
         value=float(np.max(arr)),
-        levels=tuple(range(depth + 1)),
+        levels=tuple(range(LAMBDA_DEPTH + 1)),
         trace=tuple(trace),
         converged=_running_sup_settled(arr),
     )
@@ -282,23 +301,18 @@ def coeff_decay_test(f: PowerSeries) -> GrowthReport:
     return classify_growth(values, levels)
 
 
-def hinf_norm(f: PowerSeries, angles: int = 4096, radius: float = 1.0 - 2.0 ** -12) -> float:
-    """Max modulus on the circle ``|z| = radius``, a sup-norm surrogate.
+def hinf_norm(f: PowerSeries) -> float:
+    """Max modulus on the circle ``|z| = HINF_RADIUS``, a sup-norm surrogate.
 
     The maximum principle makes this a lower bound that converges to the
-    true sup norm as the radius approaches 1; the default radius keeps
-    the truncation tail of order-400 bounded-coefficient inputs below
-    1e-3.
+    true sup norm as the radius approaches 1; ``1 - 2**-12`` keeps the
+    truncation tail of order-400 bounded-coefficient inputs below 1e-3.
     """
-    if angles < 1:
-        raise ParameterError(f"angles must be positive, got {angles}")
-    if not (0.0 < radius < 1.0):
-        raise ParameterError(f"radius must lie in (0, 1), got {radius!r}")
-    z = radius * np.exp(2j * np.pi * np.arange(angles) / angles)
+    z = HINF_RADIUS * np.exp(2j * np.pi * np.arange(HINF_ANGLES) / HINF_ANGLES)
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(np.max(np.abs(f.eval(z))))
     if not math.isfinite(value):
-        raise NumericsError(f"max modulus on |z| = {radius!r} is not finite")
+        raise NumericsError(f"max modulus on |z| = {HINF_RADIUS!r} is not finite")
     return value
 
 
@@ -311,6 +325,7 @@ class KernelComparison(NamedTuple):
 def circle_kernel_check(z: complex, beta: float) -> KernelComparison:
     """Circle average of ``|1 - z e^{-i theta}|**-(1+beta)`` vs its growth law.
 
+    The average is ``2F1(c, c; 1; |z|**2)`` with ``c = (1+beta)/2``.
     The average is O(1) for ``beta < 0``, logarithmic in ``1/(1-|z|^2)``
     at ``beta = 0``, and grows like ``(1-|z|^2)**-beta`` for positive
     ``beta``; the returned ratio of computed to predicted should sit in
@@ -320,26 +335,8 @@ def circle_kernel_check(z: complex, beta: float) -> KernelComparison:
     beta = float(beta)
     if abs(z) >= 1.0:
         raise ParameterError("|z| must be below 1")
-    power = 1.0 + beta
-
-    prev = None
-    est = None
-    m = 1024
-    while m <= 1 << 22:
-        theta = 2.0 * np.pi * np.arange(m) / m
-        vals = np.abs(1.0 - z * np.exp(-1j * theta)) ** (-power)
-        new = float(np.mean(vals))
-        if est is not None and abs(new - est) <= 1e-6 * max(abs(new), abs(est)):
-            est = new
-            break
-        prev, est = est, new
-        m *= 2
-    else:
-        raise NumericsError(
-            f"circle average did not settle to rtol=1e-06 by {1 << 22} angles",
-            estimates=tuple(v for v in (prev, est) if v is not None),
-        )
-
+    c = 0.5 * (1.0 + beta)
+    est = float(hyp2f1(c, c, 1.0, abs(z) ** 2))
     gap = 1.0 - abs(z) ** 2
     if beta > 0.0:
         predicted = gap ** (-beta)

@@ -68,8 +68,8 @@ class TestMomentTest:
         assert rep.exponent == pytest.approx(1.0, abs=0.01)
 
     def test_levels_are_dyadic_indices(self):
-        rep = moment_test(Lebesgue(), 1.0, limit=1 << 6)
-        assert rep.levels == (0, 1, 2, 3, 4, 5, 6)
+        rep = moment_test(Lebesgue(), 1.0)
+        assert rep.levels == tuple(range(15))
 
 
 class TestIntegralTests:

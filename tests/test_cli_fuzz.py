@@ -1,9 +1,12 @@
-"""Fuzz of the measure-file boundary through the ``moments`` subcommand.
+"""Fuzz of the input-file boundaries through ``moments`` and ``seminorm``.
 
 Generated measure JSON (nested mixtures, wrong types, huge, NaN or
 negative numbers, missing fields) must either print finite moments and
-exit 0, or exit 2 or 3 with a one-line message; no input may raise out
-of ``main`` or emit a warning.
+exit 0, or exit 2 or 3 with a one-line message.  Generated coefficient
+files (huge, tiny, negative, ``nan`` and ``inf`` tokens, wrong token
+counts, blank lines, comments) must exit 0 with a converged, finite
+estimate, or 2 or 3 with at most one line on stderr.  No input may
+raise out of ``main`` or emit a warning.
 """
 
 import contextlib
@@ -73,3 +76,44 @@ def test_moments_on_generated_measure_json(measure, levels, tmp_path_factory):
     else:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1
+
+
+# ---- coefficient files through ``seminorm`` ----
+
+tokens = st.one_of(
+    st.floats(-2.0, 2.0).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["1e307", "-1e308", "1e300", "5e-324", "-0.0", "nan", "inf", "-inf", "1e400", "x"]),
+)
+pair = st.tuples(tokens, tokens).map(" ".join)
+odd = st.lists(tokens, max_size=3).filter(lambda parts: len(parts) != 2).map(" ".join)
+blank_or_comment = st.sampled_from(["", "   ", "# comment"])
+coefficient_files = st.one_of(
+    st.lists(st.one_of(pair, pair, blank_or_comment), min_size=1, max_size=16),
+    st.lists(st.one_of(pair, odd, blank_or_comment), min_size=1, max_size=16),
+)
+spaces = st.sampled_from(
+    [["bloch"], ["hinf"], ["qp", "--p", "0.5"], ["qp", "--p", "1.5"], ["lambda", "--p", "1.2"], ["lambda", "--p", "3"]]
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=150)
+@given(lines=coefficient_files, space=spaces)
+def test_seminorm_on_generated_coefficient_files(lines, space, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "f.txt"
+    path.write_text("\n".join(lines) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["seminorm", "--space", *space, "--input", str(path)])
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == 0:
+        payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert payload["converged"] is True
+        assert all(math.isfinite(v) for v in [payload["value"], *payload["trace"]])

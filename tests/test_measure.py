@@ -18,7 +18,6 @@ from cesaro.measure import (
     measure_from_dict,
     measure_to_dict,
     moment,
-    moments,
     moments_array,
     save_measure,
     tail_mass,
@@ -68,10 +67,9 @@ class TestValidation:
 
 class TestMoments:
     def test_lebesgue_closed_form(self):
-        seq = moments(Lebesgue(), 10)
+        seq = moments_array(Lebesgue(), 10)
         for n in range(11):
             assert seq[n] == pytest.approx(1.0 / (n + 1), abs=1e-15)
-        assert seq.methods == ("closed-form",) * 11
 
     def test_atomic_exact(self):
         mu = Atomic((0.25, 0.75), (2.0, 1.0))
@@ -115,7 +113,7 @@ class TestMoments:
 
     def test_rejects_negative_order(self):
         with pytest.raises(ParameterError):
-            moments(Lebesgue(), -1)
+            moments_array(Lebesgue(), -1)
 
     @given(any_measures(), st.integers(0, 200))
     def test_moments_nonincreasing_and_bounded(self, mu, order):

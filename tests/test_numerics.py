@@ -174,8 +174,9 @@ class TestClassifyGrowth:
         assert rep_sparse.exponent == pytest.approx(0.5, rel=1e-9)
 
     def test_notes_propagate(self):
-        rep = classify_growth([1.0] * 6, notes=["hello"])
-        assert "hello" in rep.notes
+        rep = classify_growth([1.0, 2.0, math.inf, 4.0])
+        assert rep.notes == ("trace contains an infinite sample",)
+        assert rep.to_dict()["notes"] == ["trace contains an infinite sample"]
 
     def test_to_dict_is_json_ready(self):
         rep = classify_growth([1.0, 2.0, 4.0, 8.0, 16.0])

@@ -75,13 +75,6 @@ class TestPowerSeries:
     def test_derivative_of_constant(self):
         assert PowerSeries.constant(4.0).derivative().coeffs.tolist() == [0j]
 
-    def test_tail_bound_dominates_truncation(self):
-        f = PowerSeries(np.ones(21))
-        r = 0.5
-        # tail of sum_{n>20} r^n for unit coefficients
-        true_tail = r ** 21 / (1 - r)
-        assert f.tail_bound(r) >= true_tail * (1 - 1e-12)
-
 
 class TestGammaRatio:
     def test_s_one_is_exactly_one(self):

@@ -55,6 +55,15 @@ class TestMp:
         ref = float((mp.quad(integrand, [0, 2 * mp.pi]) / (2 * mp.pi)) ** (mp.mpf(1) / 3))
         assert Mp(f, 0.5, 3.0) == pytest.approx(ref, rel=1e-12)
 
+    def test_against_mpmath_hypergeometric_at_p_one_point_two(self):
+        # 2000 unit coefficients stand for 1/(1-z) to within r**2000 = 3e-18
+        # at r = 0.98, and the mean of |1 - r e^{i theta}|**-p over the
+        # circle is 2F1(p/2, p/2; 1; r**2); the samples fold modulo m
+        f = PowerSeries(np.ones(2000))
+        mp.mp.dps = 30
+        ref = float(mp.hyp2f1(0.6, 0.6, 1, mp.mpf("0.98") ** 2) ** (1 / mp.mpf("1.2")))
+        assert Mp(f, 0.98, 1.2) == pytest.approx(ref, rel=1e-10)
+
     def test_rejects_radius_at_one(self):
         with pytest.raises(ParameterError):
             Mp(PowerSeries.constant(1.0), 1.0, 2.0)
@@ -101,7 +110,7 @@ class TestBloch:
         # so the derivative grows too fast for the trace to settle
         mu = dyadic_atoms(0.5)
         g = cesaro_mu(PowerSeries.constant(1.0), mu, 1 << 12)
-        est = bloch_seminorm(g, depth=10)
+        est = bloch_seminorm(g)
         assert not est.converged
 
     def test_to_dict_is_json_ready(self):
@@ -238,6 +247,13 @@ class TestLambda:
         assert est.converged
         assert est.value > 0.0
 
+    @pytest.mark.parametrize("p", [1.05, 1.2])
+    def test_log_series_settles_just_above_one(self, log_series, p):
+        # each circle mean settles within MP_MAX_ANGLES, so no NumericsError
+        est = lambda_norm(log_series, p)
+        assert est.converged
+        assert all(math.isfinite(v) for v in est.trace)
+
     def test_rejects_p_at_one(self):
         with pytest.raises(ParameterError):
             lambda_norm(PowerSeries.monomial(1), 1.0)
@@ -298,10 +314,6 @@ class TestHinf:
         f = PowerSeries(np.asarray([0.0, 2.0]))
         assert hinf_norm(f) == pytest.approx(2.0 * (1.0 - 2.0 ** -12), rel=1e-12)
 
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ParameterError):
-            hinf_norm(PowerSeries.constant(1.0), radius=1.0)
-
 
 class TestCircleKernel:
     def test_exponent_two_is_exact(self):
@@ -309,7 +321,7 @@ class TestCircleKernel:
         # (1-|z|^2)^{-1}, so the ratio must be 1 to quadrature accuracy
         for j in (2, 6, 10):
             chk = circle_kernel_check(1.0 - 2.0 ** -j, 1.0)
-            assert chk.ratio == pytest.approx(1.0, rel=1e-5)
+            assert chk.ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_log_branch(self):
         chk = circle_kernel_check(1.0 - 2.0 ** -8, 0.0)
