@@ -3,6 +3,11 @@
 that checks the structural claims tying them together.
 """
 
+import os
+
+# idle OpenBLAS threads cost each call CPU; set before numpy loads, a caller's value wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .carleson import (
     CARLESON,
     DISAGREEMENT,

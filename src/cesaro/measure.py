@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.special import betaln
 
 from .errors import MeasureValidationError, ParameterError
 
@@ -130,8 +129,8 @@ def moments_array(mu: MeasureSpec, order: int) -> np.ndarray:
     if isinstance(mu, Lebesgue):
         return 1.0 / (n + 1.0)
     if isinstance(mu, PowerDensity):
-        a = mu.alpha
-        return mu.scale * np.exp(betaln(n + 1.0, a + 1.0))
+        # mu_n = mu_{n-1} * n / (n + alpha + 1) from mu_0 = scale / (alpha + 1)
+        return np.cumprod(np.where(n > 0, n / (n + (mu.alpha + 1.0)), mu.scale / (mu.alpha + 1.0)))
     if isinstance(mu, Mixture):
         total = np.zeros(order + 1)
         for part in mu.components:

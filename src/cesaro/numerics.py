@@ -8,9 +8,10 @@ measure on [0, 1), with an optional endpoint singularity at 1) and
 Density parts are integrated by one fixed rule graded toward the only
 singular point: ``PANELS`` dyadic panels ``u in [2**-(k+1), 2**-k]`` in
 ``u = 1 - t``, each with a ``PANEL_NODES``-point Gauss-Legendre rule that
-evaluates the endpoint factor ``u**(alpha - r)`` exactly, then one
-Gauss-Jacobi end panel on ``u < 2**-PANELS`` that carries that factor as
-its weight.  The divergence signal is a non-integrable end weight
+evaluates the endpoint factor ``u**(alpha - r)`` exactly.  On the end
+panel ``u < edge = 2**-PANELS`` every ``t = 1 - u`` rounds to 1.0, so it
+is ``g(1) edge**(beta+1) / (beta+1)`` in closed form (``beta = alpha - r``,
+per unit scale).  The divergence signal is a non-integrable end weight
 (``alpha - r <= -1``): the panel masses then stop decaying, and
 ``NumericsError`` carries the partial sums after half and after all of
 the panels out to the caller.
@@ -24,7 +25,6 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import InconclusiveGrowthError, NumericsError, ParameterError
 from .measure import Atomic, Lebesgue, MeasureSpec, Mixture, PowerDensity
@@ -58,7 +58,7 @@ _LOG_FLOOR = 1e-300
 
 def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
     # panel k covers u = 1 - t in [2**-(k+1), 2**-k]; nodes run panel by
-    # panel.  numpy's leggauss keeps scipy.linalg out of every import.
+    # panel.  numpy's leggauss keeps scipy out of every import.
     x, w = np.polynomial.legendre.leggauss(PANEL_NODES)
     half = 0.5 ** np.arange(1, PANELS + 1)[:, None]
     return (half * (1.5 + 0.5 * x)).ravel(), (half * 0.5 * w).ravel()
@@ -67,13 +67,8 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
 _PANEL_U, _PANEL_W = _panel_rule()
 
 
-def _jacobi_rule(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    # nodes/weights for integral over [0,1] with weight (1-t)**alpha,
-    # from the [-1,1] Jacobi rule via t = (x+1)/2
-    x, w = roots_jacobi(order, alpha, 0.0)
-    t = 0.5 * (x + 1.0)
-    scaled = w * 0.5 ** (alpha + 1.0)
-    return t, scaled
+# no rule is built any more; bench/tracer.py still looks both names up
+roots_jacobi = _jacobi_rule = None
 
 
 def _as_scalar(value):
@@ -126,10 +121,9 @@ def quad_measure(
             f"endpoint exponent {beta:g} is not integrable",
             estimates=tuple(_as_scalar(np.sum(panel_mass[:k])) for k in (PANELS // 2, PANELS)),
         )
-    # end panel u = edge * (1 - tau), weight (1-tau)**beta on tau in [0, 1]
+    # end panel u < edge: 1 - u rounds to 1.0, leaving the integral of u**beta
     edge = 0.5 ** PANELS
-    tau, w = _jacobi_rule(PANEL_NODES, beta)
-    end = scale * edge ** (beta + 1.0) * np.sum(w * np.asarray(g(1.0 - edge * (1.0 - tau))))
+    end = scale * edge ** (beta + 1.0) / (beta + 1.0) * np.sum(g(np.ones(1)))
     return _as_scalar(end + np.sum(panel_mass))
 
 
@@ -150,7 +144,7 @@ class DiskGrid:
     def build(cls, radial_order: int = 96, angular: int = 256) -> "DiskGrid":
         if radial_order < 1 or angular < 1:
             raise ParameterError("grid orders must be positive")
-        x, v = roots_legendre(radial_order)
+        x, v = np.polynomial.legendre.leggauss(radial_order)
         radii = 0.5 * (x + 1.0)
         wr = 0.5 * v
         theta = 2.0 * np.pi * np.arange(angular) / angular

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericsError, ParameterError
 from .measure import MeasureSpec, moments_array
@@ -119,19 +118,19 @@ class PowerSeries:
 def gamma_ratio(n, s: float):
     """``Gamma(n+s) / (Gamma(s) n!)``, the coefficients of ``(1-z)**-s``.
 
-    Vectorized over ``n``; grows like ``n**(s-1)`` up to the constant
-    ``1/Gamma(s)``, and equals 1 identically at ``s = 1``.
+    Vectorized over nonnegative integers ``n``, read off the running
+    product ``prod_{k<=n} (k-1+s)/k``; grows like ``n**(s-1)`` up to the
+    constant ``1/Gamma(s)``, and equals 1 identically at ``s = 1``.
     """
     s = float(s)
     if not s > 0.0:
         raise ParameterError(f"s must be positive, got {s!r}")
-    arr = np.asarray(n, dtype=float)
-    if arr.size and float(np.min(arr)) < 0:
-        raise ParameterError("n must be nonnegative")
-    out = np.exp(gammaln(arr + s) - gammaln(s) - gammaln(arr + 1.0))
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    arr = np.asarray(n)
+    if not np.all(np.isfinite(arr) & (arr >= 0) & (arr == np.floor(arr))):
+        raise ParameterError("n must be nonnegative integers")
+    k = np.arange(1.0, np.max(arr, initial=0) + 1.0)
+    out = np.concatenate(([1.0], np.cumprod((k - 1.0 + s) / k)))[arr.astype(np.int64)]
+    return float(out) if arr.ndim == 0 else out
 
 
 def _check_order(order: int) -> int:

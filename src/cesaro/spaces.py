@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .errors import NumericsError, ParameterError
 from .numerics import (
@@ -331,6 +330,7 @@ def circle_kernel_check(z: complex, beta: float) -> KernelComparison:
     ``beta``; the returned ratio of computed to predicted should sit in
     a modest constant band if both sides are right.
     """
+    from scipy.special import hyp2f1  # here, off the CLI's import path: no command calls this
     z = complex(z)
     beta = float(beta)
     if abs(z) >= 1.0:

@@ -92,6 +92,21 @@ class TestMoments:
                 expected = float(mp.mpf("1.5") * mp.beta(n + 1, mp.mpf(alpha) + 1))
                 assert moment(mu, n) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("alpha", [-0.95, -0.5, 0.0, 0.5, 1.5, 3.7, 40.0])
+    def test_power_density_deep_moments_against_mpmath(self, alpha):
+        # the running product B(n+1, a+1) = B(n, a+1) n / (n+a+1) holds
+        # rtol 1e-10 out to n = 2**20, where exp(betaln) drifts to 1.1e-9
+        mp.mp.dps = 40
+        arr = moments_array(PowerDensity(alpha), 2 ** 20)
+        for n in (0, 1, 7, 100, 2 ** 10 + 3, 2 ** 14, 99_991, 2 ** 19 + 1, 2 ** 20):
+            expected = float(mp.beta(n + 1, mp.mpf(alpha) + 1))
+            assert arr[n] == pytest.approx(expected, rel=1e-10), n
+
+    def test_huge_alpha_stays_finite(self):
+        arr = moments_array(PowerDensity(1e308), 4)
+        assert arr[0] == pytest.approx(1e-308, rel=1e-12)
+        assert np.all(arr[1:] == 0.0)
+
     def test_power_density_against_direct_quadrature(self):
         mu = PowerDensity(-0.5)
         for n in (0, 3, 10):

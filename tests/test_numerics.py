@@ -111,13 +111,25 @@ class TestQuadMeasure:
         val = quad_measure(lambda x: (1.0 - a * x) ** -1.5, Lebesgue(), singular_exponent=0.5)
         assert val == pytest.approx(2.0 ** 19, rel=1e-12)
 
-    def test_atomic_measure_builds_no_rule(self, monkeypatch):
-        def no_rule(*args):
-            raise AssertionError("atomic quadrature built a Jacobi rule")
+    @pytest.mark.parametrize("beta", [-0.95, -0.5, 0.0, 1.5, 40.0])
+    def test_density_end_panel_is_closed_form(self, beta):
+        # g runs once on the panel nodes and once at t = 1.0, where every
+        # point of u < 2**-60 rounds; that piece integrates u**beta exactly
+        calls = []
 
-        monkeypatch.setattr(numerics, "_jacobi_rule", no_rule)
-        mu = Atomic((0.5, 0.75), (1.0, 1.0))
-        assert quad_measure(lambda t: t, mu, singular_exponent=0.5) > 0.0
+        def g(t):
+            calls.append(np.array(t, copy=True))
+            return np.exp(t)
+
+        val = quad_measure(g, PowerDensity(beta, scale=2.0))
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], 1.0 - numerics._PANEL_U)
+        assert calls[0].size == numerics.PANELS * numerics.PANEL_NODES
+        assert np.array_equal(calls[1], [1.0])
+        edge = 0.5 ** numerics.PANELS
+        panels = 2.0 * np.sum(numerics._PANEL_W * numerics._PANEL_U ** beta * np.exp(calls[0]))
+        end = 2.0 * edge ** (beta + 1.0) / (beta + 1.0) * math.e
+        assert val == pytest.approx(panels + end, rel=1e-15)
 
 
 class TestClassifyGrowth:

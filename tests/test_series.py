@@ -88,9 +88,8 @@ class TestGammaRatio:
         assert gamma_ratio(n, 3.0) == pytest.approx((n + 1) * (n + 2) / 2.0, rel=1e-14)
 
     def test_against_mpmath_gamma(self):
-        # log-gamma differencing loses ~|loggamma(n)| * eps of absolute
-        # precision in the exponent, so the relative tolerance widens
-        # with n (about 1e-11 at n = 1e4)
+        # the running product gathers one rounding per factor, so the
+        # relative tolerance widens with n
         mp.mp.dps = 30
         for s in (0.5, 1.5, 2.7):
             for n in (0, 1, 7, 100, 10_000):
@@ -101,6 +100,22 @@ class TestGammaRatio:
                 assert gamma_ratio(np.asarray([n]), s)[0] == pytest.approx(
                     expected, rel=rel
                 )
+
+    @pytest.mark.parametrize("s", [0.5, 1.5, 3.0])
+    def test_deepest_index_against_mpmath(self, s):
+        mp.mp.dps = 40
+        n = 2 ** 20
+        expected = float(mp.gamma(n + s) / (mp.gamma(s) * mp.factorial(n)))
+        assert gamma_ratio(np.arange(n + 1), s)[n] == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [np.asarray([0.0, 1.5]), 2.5, np.asarray([-1]), np.nan, np.inf])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ParameterError):
+            gamma_ratio(n, 0.5)
+
+    def test_scalar_and_empty_n(self):
+        assert gamma_ratio(3, 2.0) == 4.0
+        assert gamma_ratio(np.arange(0), 2.0).size == 0
 
     def test_stirling_normalization(self):
         # Gamma(s) * gamma_ratio(n, s) * (n+1)**(1-s) -> 1
