@@ -49,11 +49,8 @@ from .measure import (
     total_mass,
 )
 from .numerics import (
-    DiskGrid,
     GrowthReport,
     classify_growth,
-    disk_grid,
-    disk_integral,
     dyadic_radii,
     quad_measure,
     sup_on_dyadic_boundary,
@@ -92,7 +89,6 @@ __all__ = [
     "CheckRecord",
     "DEFAULT_ORDER",
     "DISAGREEMENT",
-    "DiskGrid",
     "GrowthReport",
     "InconclusiveGrowthError",
     "Lebesgue",
@@ -117,8 +113,6 @@ __all__ = [
     "classify_growth",
     "coeff_decay_test",
     "compose_mobius",
-    "disk_grid",
-    "disk_integral",
     "disk_kernel_test",
     "dyadic_radii",
     "gamma_ratio",

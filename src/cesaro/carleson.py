@@ -41,6 +41,7 @@ __all__ = [
     "NOT_CARLESON",
     "DISAGREEMENT",
     "DEPTH_RANGE",
+    "EXPONENT_BUDGET",
     "CarlesonVerdict",
     "box_test",
     "moment_test",
@@ -62,6 +63,10 @@ DEPTH_RANGE = (4, 52)
 # moment_test samples n = 2**j for j = 0 .. MOMENT_TOP
 MOMENT_TOP = 14
 
+# traces to level J stay below mass * 2**((J+1)(s+t)) and kernel integrands
+# below mass * 2**(J(s+t) + 60): in float range for any mass below 2**60
+EXPONENT_BUDGET = 900
+
 
 def _check_s(s: float) -> float:
     s = float(s)
@@ -75,6 +80,12 @@ def _check_t(t: float) -> float:
     if t <= 0.0 or not math.isfinite(t):
         raise ParameterError(f"exponent t must be positive, got {t!r}")
     return t
+
+
+def _check_budget(top: int, exponent: float) -> None:
+    if not (top + 1) * exponent <= EXPONENT_BUDGET:
+        raise ParameterError(f"exponent {exponent:g} to level {top} leaves float range "
+                             f"(need (level + 1) * exponent <= {EXPONENT_BUDGET})")
 
 
 def _check_r(r: float, s: float) -> float:
@@ -122,6 +133,7 @@ def _disk_kernel(mu: MeasureSpec, s: float, t: float):
 def box_test(mu: MeasureSpec, s: float, depth: int = 18) -> GrowthReport:
     """Trace ``mu([1-2**-j, 1)) * 2**(j*s)``; bounded iff s-Carleson."""
     s = _check_s(s)
+    _check_budget(depth, s)
     radii = dyadic_radii(depth)
     values = [tail_mass(mu, r) * 2.0 ** (j * s) for j, r in enumerate(radii, start=1)]
     return classify_growth(values, range(1, depth + 1))
@@ -134,6 +146,7 @@ def moment_test(mu: MeasureSpec, s: float) -> GrowthReport:
     trace stays bounded exactly on the Carleson side.
     """
     s = _check_s(s)
+    _check_budget(MOMENT_TOP, s)
     mus = moments_array(mu, 1 << MOMENT_TOP)
     levels = range(MOMENT_TOP + 1)
     values = [(1.0 + (1 << j)) ** s * mus[1 << j] for j in levels]
@@ -155,6 +168,7 @@ def integral_test_real(
     """
     s = _check_s(s)
     t = _check_t(t)
+    _check_budget(depth, s + t)
     r = s / 2.0 if r is None else _check_r(r, s)
     return sup_on_dyadic_boundary(_boundary_kernel(mu, s, t, r), depth=depth)
 
@@ -175,6 +189,7 @@ def integral_test_complex(
     """
     s = _check_s(s)
     t = _check_t(t)
+    _check_budget(depth, s + t)
     r = _check_r(r, s)
     return sup_on_dyadic_boundary(_boundary_kernel(mu, s, t, r), depth=depth)
 
@@ -192,6 +207,7 @@ def disk_kernel_test(
     """
     s = _check_s(s)
     t = _check_t(t)
+    _check_budget(depth, s + t)
     return sup_on_dyadic_boundary(_disk_kernel(mu, s, t), depth=depth)
 
 

@@ -150,17 +150,6 @@ def _corpus_verdict(mu: MeasureSpec, s: float, depth: int) -> CarlesonVerdict:
     return is_s_carleson(mu, s, depth=depth)
 
 
-def _growth_traces(prefix: str, reports: dict) -> list[TraceRecord]:
-    return [
-        TraceRecord(
-            name=f"{prefix}.{crit}",
-            levels=rep.levels,
-            values=rep.values,
-        )
-        for crit, rep in reports.items()
-    ]
-
-
 def run_criterion_equivalence() -> ScenarioReport:
     """All five tail criteria must reproduce each corpus label."""
     entries = labeled_corpus()
@@ -176,7 +165,10 @@ def run_criterion_equivalence() -> ScenarioReport:
                 passed=verdict.consensus == expected,
             )
         )
-        traces.extend(_growth_traces(entry.name, verdict.reports))
+        traces.extend(
+            TraceRecord(name=f"{entry.name}.{crit}", levels=rep.levels, values=rep.values)
+            for crit, rep in verdict.reports.items()
+        )
     return _report(
         "equivalence",
         "For a finite positive measure on [0,1), the dyadic box trace, the "

@@ -26,6 +26,7 @@ __all__ = [
     "Lebesgue",
     "Mixture",
     "MeasureSpec",
+    "MAX_ORDER",
     "moment",
     "moments_array",
     "tail_mass",
@@ -111,15 +112,20 @@ MeasureSpec = Union[Atomic, PowerDensity, Lebesgue, Mixture]
 MAX_NESTING = 32
 
 
-def _check_order(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ParameterError(f"moment order must be a nonnegative integer, got {n!r}")
+# deepest truncation order a moment table or transform may ask for
+MAX_ORDER = 1 << 20
+
+
+def check_order(n: int) -> int:
+    """``n`` as an int, if it is an integer in ``[0, MAX_ORDER]``."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 0 <= n <= MAX_ORDER:
+        raise ParameterError(f"order must be an integer in [0, {MAX_ORDER}], got {n!r}")
     return int(n)
 
 
 def moments_array(mu: MeasureSpec, order: int) -> np.ndarray:
     """Moments ``mu_0 .. mu_order`` as a float array, by closed form."""
-    order = _check_order(order)
+    order = check_order(order)
     n = np.arange(order + 1, dtype=float)
     if isinstance(mu, Atomic):
         pts = np.asarray(mu.points)
@@ -141,7 +147,7 @@ def moments_array(mu: MeasureSpec, order: int) -> np.ndarray:
 
 def moment(mu: MeasureSpec, n: int) -> float:
     """The moment ``integral of t**n d mu(t)``."""
-    return float(moments_array(mu, _check_order(n))[-1])
+    return float(moments_array(mu, n)[-1])
 
 
 def tail_mass(mu: MeasureSpec, t: float) -> float:

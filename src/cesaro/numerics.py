@@ -1,4 +1,4 @@
-"""Quadrature against measures, disk grids, and dyadic growth classification.
+"""Quadrature against measures and dyadic growth classification.
 
 The two workhorses are ``quad_measure`` (integrate a function against a
 measure on [0, 1), with an optional endpoint singularity at 1) and
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -36,9 +35,6 @@ __all__ = [
     "BOUNDED",
     "DIVERGENT",
     "quad_measure",
-    "DiskGrid",
-    "disk_grid",
-    "disk_integral",
     "dyadic_radii",
     "GrowthReport",
     "classify_growth",
@@ -67,14 +63,24 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
 _PANEL_U, _PANEL_W = _panel_rule()
 
 
-# no rule is built any more; bench/tracer.py still looks both names up
+# bench/tracer.py still looks these names up; no rule or disk grid is built
 roots_jacobi = _jacobi_rule = None
+
+
+class DiskGrid:
+    build = classmethod(lambda cls: None)
 
 
 def _as_scalar(value):
     if np.iscomplexobj(value):
         return complex(value)
     return float(value)
+
+
+def _finite(value):
+    if not np.isfinite(value):
+        raise NumericsError("integral against the measure overflows")
+    return _as_scalar(value)
 
 
 def quad_measure(
@@ -89,24 +95,17 @@ def quad_measure(
     exactly.  Density parts use the fixed graded panel rule; an endpoint
     exponent ``alpha - singular_exponent <= -1`` is not integrable and
     raises ``NumericsError``, which is how a divergent integral
-    announces itself.
+    announces itself; so does an integral that overflows.
     """
     r = float(singular_exponent)
     if isinstance(mu, Atomic):
-        t = np.asarray(mu.points)
-        w = np.asarray(mu.weights)
-        vals = np.asarray(g(t))
-        if r != 0.0:
-            vals = vals * (1.0 - t) ** (-r)
-        return _as_scalar(np.sum(w * vals))
+        t, w = np.asarray(mu.points), np.asarray(mu.weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(np.sum(w * (np.asarray(g(t)) * (1.0 - t) ** (-r))))
     if isinstance(mu, Mixture):
-        return _as_scalar(
-            np.sum(
-                np.asarray(
-                    [quad_measure(g, part, singular_exponent=r) for part in mu.components]
-                )
-            )
-        )
+        parts = [quad_measure(g, part, singular_exponent=r) for part in mu.components]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(np.sum(np.asarray(parts)))
     if isinstance(mu, Lebesgue):
         alpha, scale = 0.0, 1.0
     elif isinstance(mu, PowerDensity):
@@ -114,58 +113,18 @@ def quad_measure(
     else:
         raise ParameterError(f"not a measure: {mu!r}")
     beta = alpha - r
-    vals = _PANEL_W * _PANEL_U ** beta * np.asarray(g(1.0 - _PANEL_U))
-    panel_mass = scale * np.sum(vals.reshape(PANELS, PANEL_NODES), axis=1)
-    if beta <= -1.0:
-        raise NumericsError(
-            f"endpoint exponent {beta:g} is not integrable",
-            estimates=tuple(_as_scalar(np.sum(panel_mass[:k])) for k in (PANELS // 2, PANELS)),
-        )
-    # end panel u < edge: 1 - u rounds to 1.0, leaving the integral of u**beta
-    edge = 0.5 ** PANELS
-    end = scale * edge ** (beta + 1.0) / (beta + 1.0) * np.sum(g(np.ones(1)))
-    return _as_scalar(end + np.sum(panel_mass))
-
-
-@dataclass(frozen=True, eq=False)
-class DiskGrid:
-    """Product quadrature on the unit disk for the normalized area measure.
-
-    Gauss-Legendre in the radius, uniform in the angle; ``weights`` sum
-    to 1 so that ``disk_integral(lambda z: 1, grid) == 1``.
-    """
-
-    radial_order: int
-    angular: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def build(cls, radial_order: int = 96, angular: int = 256) -> "DiskGrid":
-        if radial_order < 1 or angular < 1:
-            raise ParameterError("grid orders must be positive")
-        x, v = np.polynomial.legendre.leggauss(radial_order)
-        radii = 0.5 * (x + 1.0)
-        wr = 0.5 * v
-        theta = 2.0 * np.pi * np.arange(angular) / angular
-        nodes = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
-        weights = ((2.0 * radii * wr)[:, None] / angular * np.ones(angular)[None, :]).ravel()
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return cls(radial_order=radial_order, angular=angular, nodes=nodes, weights=weights)
-
-
-@lru_cache(maxsize=None)
-def disk_grid(radial_order: int = 96, angular: int = 256) -> DiskGrid:
-    return DiskGrid.build(radial_order=radial_order, angular=angular)
-
-
-def disk_integral(g: Callable[[np.ndarray], np.ndarray], grid: DiskGrid | None = None):
-    """Integral of ``g`` over the unit disk against normalized area measure."""
-    if grid is None:
-        grid = disk_grid()
-    vals = np.asarray(g(grid.nodes))
-    return _as_scalar(np.sum(grid.weights * vals))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _PANEL_W * _PANEL_U ** beta * np.asarray(g(1.0 - _PANEL_U))
+        panel_mass = scale * np.sum(vals.reshape(PANELS, PANEL_NODES), axis=1)
+        if beta <= -1.0:
+            raise NumericsError(
+                f"endpoint exponent {beta:g} is not integrable",
+                estimates=tuple(_as_scalar(np.sum(panel_mass[:k])) for k in (PANELS // 2, PANELS)),
+            )
+        # end panel u < edge: 1 - u rounds to 1.0, leaving the integral of u**beta
+        edge = 0.5 ** PANELS
+        end = scale * edge ** (beta + 1.0) / (beta + 1.0) * np.sum(g(np.ones(1)))
+        return _finite(end + np.sum(panel_mass))
 
 
 def dyadic_radii(depth: int, start_level: int = 1) -> np.ndarray:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericsError, ParameterError
-from .measure import MeasureSpec, moments_array
+from .measure import MeasureSpec, check_order, moments_array
 from .numerics import quad_measure
 
 __all__ = [
@@ -123,8 +123,8 @@ def gamma_ratio(n, s: float):
     constant ``1/Gamma(s)``, and equals 1 identically at ``s = 1``.
     """
     s = float(s)
-    if not s > 0.0:
-        raise ParameterError(f"s must be positive, got {s!r}")
+    if not 0.0 < s < np.inf:
+        raise ParameterError(f"s must be positive and finite, got {s!r}")
     arr = np.asarray(n)
     if not np.all(np.isfinite(arr) & (arr >= 0) & (arr == np.floor(arr))):
         raise ParameterError("n must be nonnegative integers")
@@ -133,27 +133,28 @@ def gamma_ratio(n, s: float):
     return float(out) if arr.ndim == 0 else out
 
 
-def _check_order(order: int) -> int:
-    if order < 0:
-        raise ParameterError(f"order must be nonnegative, got {order}")
-    return int(order)
+def _finite_series(coeffs: np.ndarray) -> PowerSeries:
+    if not np.all(np.isfinite(coeffs)):
+        raise NumericsError("transform coefficients overflow")
+    return PowerSeries(coeffs)
 
 
 def cesaro_mu(f: PowerSeries, mu: MeasureSpec, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Averaging transform ``b_n = mu_n * (a_0 + ... + a_n)``."""
-    order = _check_order(order)
-    partial = np.cumsum(f.padded(order))
-    return PowerSeries(moments_array(mu, order) * partial)
+    order = check_order(order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_series(moments_array(mu, order) * np.cumsum(f.padded(order)))
 
 
 def cesaro_mu_s(
     f: PowerSeries, mu: MeasureSpec, s: float, order: int = DEFAULT_ORDER
 ) -> PowerSeries:
-    """Weighted transform ``b_n = mu_n * sum_k gamma_ratio(n-k, s) a_k``."""
-    order = _check_order(order)
-    kern = gamma_ratio(np.arange(order + 1), s)
-    mixed = np.convolve(f.padded(order), kern)[: order + 1]
-    return PowerSeries(moments_array(mu, order) * mixed)
+    """Weighted transform ``b_n = mu_n sum_k gamma_ratio(n-k, s) a_k``, in O(len f * order)."""
+    order = check_order(order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kern = gamma_ratio(np.arange(order + 1), s)
+        mixed = np.convolve(f.coeffs[: order + 1], kern)[: order + 1]
+        return _finite_series(moments_array(mu, order) * mixed)
 
 
 def kernel_series(mu: MeasureSpec, s: float, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -163,9 +164,9 @@ def kernel_series(mu: MeasureSpec, s: float, order: int = DEFAULT_ORDER) -> Powe
     of ``integral of (1-tz)**-s d mu(t)``; its coefficient decay encodes
     whether ``mu`` satisfies the order-``s`` tail condition.
     """
-    order = _check_order(order)
-    kern = gamma_ratio(np.arange(order + 1), s)
-    return PowerSeries(kern * moments_array(mu, order))
+    order = check_order(order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_series(gamma_ratio(np.arange(order + 1), s) * moments_array(mu, order))
 
 
 def integral_rep_eval(
@@ -180,8 +181,8 @@ def integral_rep_eval(
     the transform order is large enough for the evaluation radius.
     """
     s = float(s)
-    if not s > 0.0:
-        raise ParameterError(f"s must be positive, got {s!r}")
+    if not 0.0 < s < np.inf:
+        raise ParameterError(f"s must be positive and finite, got {s!r}")
     z = complex(z)
     if not abs(z) < 1.0:
         raise ParameterError("evaluation point must satisfy |z| < 1")

@@ -6,7 +6,8 @@ radii ``1 - 2**-j`` and recording a per-level trace.  An estimate is
 level; the invariant-metric estimator computes each probe exactly in
 coefficient space and also needs every probe's truncation tail
 certified.  ``coeff_decay_test`` classifies coefficient growth instead,
-reusing the dyadic slope machinery from ``numerics``.
+reusing the dyadic slope machinery from ``numerics``.  The kernel checks
+sum Parseval series with certified tails.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericsError, ParameterError
-from .numerics import (
-    GrowthReport,
-    classify_growth,
-    disk_grid,
-    dyadic_radii,
-)
+from .numerics import GrowthReport, classify_growth, dyadic_radii
 # bench/tracer.py wraps _horner under every module that imports it
 from .series import PowerSeries, _horner, gamma_ratio  # noqa: F401
 
@@ -53,16 +49,18 @@ QP_DEPTH, QP_ANGLES = 8, 8
 LAMBDA_DEPTH = 12
 HINF_RADIUS, HINF_ANGLES = 1.0 - 2.0 ** -12, 4096
 
-# relative movement of the running supremum below which a trace counts
-# as settled; also the grid-agreement tolerance for two_kernel_check
+# relative movement of the running supremum below which a trace has settled
 SUP_CONVERGENCE_RTOL = 0.02
 
 # qp_seminorm cuts each probe's series once a certified bound on its last
 # quarter is at most this share of the energy, and gives up at QP_MAX_TERMS
 QP_TAIL_RTOL = 1e-13
 QP_MAX_TERMS = 1 << 20
-# largest share of a probe energy that the bound on FFT round-off may reach
-QP_ROUNDOFF_RTOL = 1e-3
+# largest share of an FFT-convolved sum its round-off bound may reach
+FFT_ROUNDOFF_RTOL = 1e-3
+# kernel-check series stop once a certified tail is at most this share of the
+# sum; the disk sum holds 2L-point complex spectra, so it gives up sooner
+KERNEL_TAIL_RTOL, CIRCLE_MAX_TERMS, DISK_MAX_TERMS = 1e-14, 1 << 21, 1 << 19
 
 
 @dataclass(frozen=True)
@@ -115,8 +113,8 @@ def Mp(f: PowerSeries, r: float, p: float) -> float:
     p = float(p)
     if not (0.0 <= r < 1.0):
         raise ParameterError(f"radius must lie in [0, 1), got {r!r}")
-    if not p >= 1.0:
-        raise ParameterError(f"integral-mean exponent must be >= 1, got {p!r}")
+    if not 1.0 <= p < math.inf:
+        raise ParameterError(f"integral-mean exponent must be finite and >= 1, got {p!r}")
     scaled = f.coeffs * r ** np.arange(f.coeffs.size)
     prev = None
     est = None
@@ -126,8 +124,11 @@ def Mp(f: PowerSeries, r: float, p: float) -> float:
             folded = np.pad(scaled, (0, -scaled.size % m)).reshape(-1, m).sum(axis=0)
             # unscaled inverse FFT in place: no second m-point complex buffer
             modulus = np.abs(np.fft.ifft(folded, norm="forward", out=folded))
+            # scaled by the largest sample (1 if all vanish), so the power cannot overflow
+            top = float(np.max(modulus)) or 1.0
+            modulus /= top
             modulus **= p
-            new = float(np.mean(modulus) ** (1.0 / p))
+            new = top * float(np.mean(modulus) ** (1.0 / p))
         if not math.isfinite(new):
             raise NumericsError(f"circle mean at r = {r!r} is not finite")
         if est is not None and abs(new - est) <= MP_RTOL * max(new, est):
@@ -166,6 +167,23 @@ def bloch_seminorm(f: PowerSeries) -> SeminormEstimate:
     )
 
 
+def _fft_energy(x: np.ndarray, y: np.ndarray, weights: np.ndarray, what: str) -> float:
+    """``sum |h_n|^2 w_n`` over the first ``len(weights)`` terms of ``h = x * y``; refuses
+    a sum that overflows, or that FFT round-off (at most ``eps log2(2L) ||x|| ||y||``
+    per ``h_n``) could move by ``FFT_ROUNDOFF_RTOL``."""
+    n = 2 * weights.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.fft(x, n)
+        spectrum *= np.fft.fft(y, n)  # in place: at most two n-point spectra at once
+        mod = np.abs(np.fft.ifft(spectrum, out=spectrum)[: weights.size])
+        total = float(np.sum(mod ** 2 * weights))
+        err = np.finfo(float).eps * math.log2(n) * np.linalg.norm(x) * np.linalg.norm(y)
+        noise = float(np.sum((2.0 * mod + err) * err * weights))
+    if not (math.isfinite(total) and noise <= FFT_ROUNDOFF_RTOL * total):
+        raise NumericsError(f"{what} is lost to overflow or round-off")
+    return total
+
+
 def _qp_probe(fd: np.ndarray, a: complex, p: float) -> tuple[float, int, float]:
     """Energy at probe ``a``, the series length used and its tail fraction.
 
@@ -181,17 +199,10 @@ def _qp_probe(fd: np.ndarray, a: complex, p: float) -> tuple[float, int, float]:
     while True:
         length = min(length, QP_MAX_TERMS)
         k = np.arange(length, dtype=float)
-        kern = gamma_ratio(k, p) * r ** k * np.exp(-1j * theta * k)  # (1 - conj(a) z)**-p
-        beta = 1.0 / ((k + p + 1.0) * gamma_ratio(k, p + 1.0))  # B(k+1, p+1)
         with np.errstate(over="ignore", invalid="ignore"):
-            h = np.fft.ifft(np.fft.fft(fd, 2 * length) * np.fft.fft(kern, 2 * length))[:length]
-            total = float(np.sum(np.abs(h) ** 2 * beta))
-            # FFT round-off moves each h_n by at most eps log2(2L) ||f'||_2 ||kern||_2
-            err = np.finfo(float).eps * math.log2(2 * length)
-            err *= np.linalg.norm(fd) * np.linalg.norm(kern)
-            noise = float(np.sum((2.0 * np.abs(h) + err) * err * beta))
-        if not (math.isfinite(total) and noise <= QP_ROUNDOFF_RTOL * total):
-            raise NumericsError(f"probe energy at a = {a:.6g} is lost to overflow or round-off")
+            kern = gamma_ratio(k, p) * r ** k * np.exp(-1j * theta * k)  # (1 - conj(a) z)**-p
+            beta = 1.0 / ((k + p + 1.0) * gamma_ratio(k, p + 1.0))  # B(k+1, p+1)
+        total = _fft_energy(fd, kern, beta, f"probe energy at a = {a:.6g}")
         n0 = 3 * length // 4
         m = n0 - fd.size + 1
         rho = r * max(1.0, (m + p) / (m + 1.0))
@@ -223,8 +234,8 @@ def qp_seminorm(f: PowerSeries, p: float) -> SeminormEstimate:
     certified within ``QP_MAX_TERMS`` terms.
     """
     p = float(p)
-    if not p > 0.0:
-        raise ParameterError(f"exponent p must be positive, got {p!r}")
+    if not 0.0 < p < math.inf:
+        raise ParameterError(f"exponent p must be positive and finite, got {p!r}")
     fd = f.derivative().coeffs
     trace, longest, worst, uncertified = [], 0, 0.0, []
     for j, probes in _dyadic_circle_levels(QP_DEPTH, QP_ANGLES):
@@ -254,8 +265,8 @@ def qp_seminorm(f: PowerSeries, p: float) -> SeminormEstimate:
 def lambda_norm(f: PowerSeries, p: float) -> SeminormEstimate:
     """Mean-Lipschitz seminorm ``sup_r (1-r)**(1-1/p) Mp(r, f', p)``, p > 1."""
     p = float(p)
-    if not p > 1.0:
-        raise ParameterError(f"mean-Lipschitz exponent must exceed 1, got {p!r}")
+    if not 1.0 < p < math.inf:
+        raise ParameterError(f"mean-Lipschitz exponent must be finite and exceed 1, got {p!r}")
     fd = f.derivative()
     radii = np.concatenate([[0.0], dyadic_radii(LAMBDA_DEPTH)])
     trace = [float((1.0 - r) ** (1.0 - 1.0 / p) * Mp(fd, r, p)) for r in radii]
@@ -321,23 +332,47 @@ class KernelComparison(NamedTuple):
     ratio: float
 
 
+def _certified_sum(step, gap: float, cap: int, what: str) -> float:
+    """Sum of a series whose ``step(L)`` gives the first ``L`` terms' sum and a
+    bound on the rest relative to it; terms like ``(1-gap)**n`` need ``~32/gap``."""
+    length = min(cap, max(64, 1 << int(math.log2(32.0 / gap))))
+    while True:
+        total, tail = step(length)
+        if not math.isfinite(total):
+            raise NumericsError(f"{what} overflows")
+        if tail <= KERNEL_TAIL_RTOL:
+            return total
+        if length >= cap:
+            raise NumericsError(f"{what}: tail not certified within {cap} terms")
+        length *= 2
+
+
 def circle_kernel_check(z: complex, beta: float) -> KernelComparison:
     """Circle average of ``|1 - z e^{-i theta}|**-(1+beta)`` vs its growth law.
 
-    The average is ``2F1(c, c; 1; |z|**2)`` with ``c = (1+beta)/2``.
-    The average is O(1) for ``beta < 0``, logarithmic in ``1/(1-|z|^2)``
-    at ``beta = 0``, and grows like ``(1-|z|^2)**-beta`` for positive
-    ``beta``; the returned ratio of computed to predicted should sit in
-    a modest constant band if both sides are right.
+    By Parseval the average is ``sum gamma_ratio(n, c)**2 |z|**(2n)``,
+    ``c = (1+beta)/2``; from ``n = L`` on its terms shrink by at most
+    ``q = |z|^2 max(1, (L+c)/(L+1))**2`` per step.  It is O(1) for
+    ``beta < 0``, ``log 1/(1-|z|^2)`` at 0 and ``(1-|z|^2)**-beta`` above,
+    so the ratio to that growth law should sit in a modest band.
     """
-    from scipy.special import hyp2f1  # here, off the CLI's import path: no command calls this
     z = complex(z)
     beta = float(beta)
-    if abs(z) >= 1.0:
-        raise ParameterError("|z| must be below 1")
-    c = 0.5 * (1.0 + beta)
-    est = float(hyp2f1(c, c, 1.0, abs(z) ** 2))
-    gap = 1.0 - abs(z) ** 2
+    if not (abs(z) < 1.0 and -1.0 < beta < math.inf):
+        raise ParameterError(f"need |z| < 1 and finite beta > -1, got z={z!r}, beta={beta!r}")
+    c, x = 0.5 * (1.0 + beta), abs(z) ** 2
+    gap = 1.0 - x
+
+    def step(length: int) -> tuple[float, float]:
+        k = np.arange(1.0, length + 1.0)
+        q = x * max(1.0, (length + c) / (length + 1.0)) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            # terms n = 1 .. L as one running product, a third of gamma_ratio's cost
+            terms = np.cumprod(x * ((k - 1.0 + c) / k) ** 2)
+            total = 1.0 + float(np.sum(terms[:-1]))
+            return total, terms[-1] / (1.0 - q) / total if q < 1.0 else math.inf
+
+    est = _certified_sum(step, gap, CIRCLE_MAX_TERMS, "circle kernel average")
     if beta > 0.0:
         predicted = gap ** (-beta)
     elif beta == 0.0:
@@ -353,29 +388,25 @@ class KernelBoundCheck(NamedTuple):
     ratio: float
 
 
-def two_kernel_check(
-    a: complex,
-    b: complex,
-    s: float,
-    r: float,
-    t: float,
-) -> KernelBoundCheck:
+def two_kernel_check(a: complex, b: complex, s: float, r: float, t: float) -> KernelBoundCheck:
     """Disk integral of ``(1-|z|^2)^s / (|1-conj(a)z|^r |1-conj(b)z|^t)``.
 
     Compared against the closed-form bound of the two-singularity
     estimate: with ``r + t - s - 2 > 0``, either both exponents sit
     below ``2+s`` and the bound is ``|1-conj(a)b|**-(r+t-s-2)``, or
     ``t < 2+s < r`` and it is ``(1-|a|^2)**(2+s-r) |1-conj(a)b|**-t``.
-    The grid doubles until two estimates agree to 2%.
+    The integral is ``sum |F_n|^2 B(n+1, s+1)`` for the analytic
+    ``F = (1-conj(a)z)^(-r/2) (1-conj(b)z)^(-t/2)``, one FFT convolution of
+    two ``gamma_ratio`` sequences; on ``|z| = R < 1/max(|a|,|b|)``,
+    ``|F| <= M = (1-|a|R)^(-r/2) (1-|b|R)^(-t/2)``, so ``|F_n| <= M R**-n``
+    and the falling Beta weights certify the tail from ``n = L`` on.
     """
     a, b = complex(a), complex(b)
-    if abs(a) >= 1.0 or abs(b) >= 1.0:
-        raise ParameterError("|a| and |b| must be below 1")
     s, r, t = float(s), float(r), float(t)
-    if not s > -1.0:
-        raise ParameterError(f"weight exponent s must exceed -1, got {s!r}")
-    if not (r > 0.0 and t > 0.0):
-        raise ParameterError("kernel exponents r and t must be positive")
+    if not (abs(a) < 1.0 and abs(b) < 1.0):
+        raise ParameterError("|a| and |b| must be below 1")
+    if not (-1.0 < s < math.inf and 0.0 < r < math.inf and 0.0 < t < math.inf):
+        raise ParameterError(f"need finite s > -1 and r, t > 0, got s={s!r}, r={r!r}, t={t!r}")
     if not r + t - s - 2.0 > 0.0:
         raise ParameterError(
             f"need r + t - s - 2 > 0 for a nontrivial bound, got {r + t - s - 2.0!r}"
@@ -390,25 +421,25 @@ def two_kernel_check(
             "exponents must satisfy max(r,t) < 2+s or t < 2+s < r; "
             f"got r={r!r}, t={t!r}, s={s!r}"
         )
+    # turning z by arg(a) leaves every |F_n| alone and makes the a-factor real
+    phase = float(np.angle(b.conjugate() * a))
+    rho = max(abs(a), abs(b))
 
-    def estimate(k: int) -> float:
-        grid = disk_grid(96 << k, 256 << k)
-        vals = (
-            (1.0 - np.abs(grid.nodes) ** 2) ** s
-            / (
-                np.abs(1.0 - np.conj(a) * grid.nodes) ** r
-                * np.abs(1.0 - np.conj(b) * grid.nodes) ** t
-            )
-        )
-        return float(np.sum(grid.weights * vals))
+    def step(length: int) -> tuple[float, float]:
+        k = np.arange(length, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fa = gamma_ratio(k, 0.5 * r) * abs(a) ** k
+            fb = gamma_ratio(k, 0.5 * t) * abs(b) ** k * np.exp(1j * phase * k)
+            beta = 1.0 / ((k + s + 1.0) * gamma_ratio(k, s + 1.0))  # B(k+1, s+1)
+        total = _fft_energy(fa, fb, beta, "two-kernel disk integral")
+        # any R < 1/max(|a|,|b|) will do; near it the bound is sharpest
+        radius = (1.0 - 0.5 * (r + t) / length) / max(rho, 0.5)
+        if radius <= 1.0:
+            return total, math.inf
+        log_m = -0.5 * (r * math.log1p(-abs(a) * radius) + t * math.log1p(-abs(b) * radius))
+        log_b = math.lgamma(length + 1.0) + math.lgamma(s + 1.0) - math.lgamma(length + s + 2.0)
+        log_tail = log_b + 2.0 * log_m - 2.0 * length * math.log(radius) - math.log1p(-radius ** -2)
+        return total, math.exp(min(log_tail - math.log(total), 0.0))
 
-    prev = estimate(0)
-    for k in range(1, 4):
-        est = estimate(k)
-        if abs(est - prev) <= SUP_CONVERGENCE_RTOL * max(abs(est), abs(prev)):
-            return KernelBoundCheck(computed=est, bound=float(bound), ratio=est / float(bound))
-        prev = est
-    raise NumericsError(
-        f"disk integral did not settle to {SUP_CONVERGENCE_RTOL:g} after 3 grid doublings",
-        estimates=(prev, est),
-    )
+    est = _certified_sum(step, 1.0 - rho * rho, DISK_MAX_TERMS, "two-kernel disk integral")
+    return KernelBoundCheck(computed=est, bound=float(bound), ratio=est / float(bound))

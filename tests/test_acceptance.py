@@ -182,13 +182,19 @@ def test_criterion_08_membership_evidence(acceptance):
     )
 
 
-def test_criterion_09_kernel_bands(acceptance):
-    worst_lo, worst_hi = math.inf, 0.0
-    for beta in (-0.5, 0.0, 0.5, 1.0, 2.0):
-        for j in range(1, 17):
-            chk = circle_kernel_check(1.0 - 2.0 ** -j, beta)
-            worst_lo = min(worst_lo, chk.ratio)
-            worst_hi = max(worst_hi, chk.ratio)
+@pytest.fixture(scope="module")
+def circle_checks():
+    # criterion 9's 80 circle points, shared with the oracle test after it
+    return {
+        (beta, j): circle_kernel_check(1.0 - 2.0 ** -j, beta)
+        for beta in (-0.5, 0.0, 0.5, 1.0, 2.0)
+        for j in range(1, 17)
+    }
+
+
+def test_criterion_09_kernel_bands(acceptance, circle_checks):
+    ratios = [chk.ratio for chk in circle_checks.values()]
+    worst_lo, worst_hi = min(ratios), max(ratios)
     circle_ok = worst_lo >= 1.0 / 20.0 and worst_hi <= 20.0
 
     b = 0.5 * cmath.exp(1j * cmath.pi / 4)
@@ -206,6 +212,15 @@ def test_criterion_09_kernel_bands(acceptance):
         f"circle ratio range [{worst_lo:.3f}, {worst_hi:.3f}], "
         f"two-kernel ratio range [{min(two_ratios):.3f}, {max(two_ratios):.3f}]",
     )
+
+
+def test_criterion_09_circle_sums_are_hypergeometric(circle_checks):
+    # the Parseval sum against 2F1(c, c; 1; |z|^2), c = (1 + beta)/2
+    mp.mp.dps = 30
+    for (beta, j), chk in circle_checks.items():
+        c = 0.5 * (1.0 + beta)
+        want = float(mp.hyp2f1(c, c, 1, mp.mpf(1.0 - 2.0 ** -j) ** 2))
+        assert chk.computed == pytest.approx(want, rel=1e-13), (beta, j)
 
 
 def test_criterion_10_determinism(acceptance, tmp_path):

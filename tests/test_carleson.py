@@ -6,6 +6,7 @@ import pytest
 
 from cesaro.carleson import (
     CARLESON,
+    EXPONENT_BUDGET,
     NOT_CARLESON,
     _boundary_kernel,
     _disk_kernel,
@@ -70,6 +71,33 @@ class TestMomentTest:
     def test_levels_are_dyadic_indices(self):
         rep = moment_test(Lebesgue(), 1.0)
         assert rep.levels == tuple(range(15))
+
+
+class TestExponentBudget:
+    # float powers past 2**1024 overflow; the budget refuses them up front
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: box_test(Lebesgue(), 60.0),
+            lambda: moment_test(Lebesgue(), 70.0),
+            lambda: integral_test_real(Lebesgue(), 1.0, t=1000.0),
+            lambda: integral_test_complex(Lebesgue(), 1.0, t=1000.0),
+            lambda: disk_kernel_test(Lebesgue(), 1.0, t=1000.0),
+            lambda: is_s_carleson(PowerDensity(-0.5), 20.0, depth=52),
+        ],
+    )
+    def test_out_of_range_exponents_are_refused(self, run):
+        with pytest.raises(ParameterError, match="leaves float range"):
+            run()
+
+    def test_battery_runs_at_the_budget_edge(self):
+        # (18 + 1) * (46 + 1) = 893 <= 900: every trace stays in range, and
+        # the non-integrable inner integrals come back as +inf samples
+        assert 19 * 47 <= EXPONENT_BUDGET < 19 * 48
+        verdict = is_s_carleson(Atomic((0.5, 1.0 - 2.0 ** -40), (1.0, 1.0)), 46.0, t=1.0)
+        assert verdict.consensus == NOT_CARLESON
+        with pytest.raises(ParameterError):
+            is_s_carleson(Lebesgue(), 47.0, t=1.0)
 
 
 class TestIntegralTests:

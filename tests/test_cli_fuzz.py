@@ -1,12 +1,16 @@
-"""Fuzz of the input-file boundaries through ``moments`` and ``seminorm``.
+"""Fuzz of the input boundaries: files through ``moments`` and ``seminorm``,
+flags through ``moments``, ``carleson``, ``transform`` and ``seminorm``.
 
 Generated measure JSON (nested mixtures, wrong types, huge, NaN or
 negative numbers, missing fields) must either print finite moments and
 exit 0, or exit 2 or 3 with a one-line message.  Generated coefficient
 files (huge, tiny, negative, ``nan`` and ``inf`` tokens, wrong token
 counts, blank lines, comments) must exit 0 with a converged, finite
-estimate, or 2 or 3 with at most one line on stderr.  No input may
-raise out of ``main`` or emit a warning.
+estimate, or 2 or 3 with at most one line on stderr.  Generated command
+lines (every numeric flag at 0, negative, tiny, huge, ``inf`` or
+``nan``, orders past the cap) must exit 0, 2 or 3 with at most one line
+on stderr, and ``converged: true`` only with finite values.  No input
+may raise out of ``main`` or emit a warning.
 """
 
 import contextlib
@@ -14,7 +18,9 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,3 +123,89 @@ def test_seminorm_on_generated_coefficient_files(lines, space, tmp_path_factory)
         payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
         assert payload["converged"] is True
         assert all(math.isfinite(v) for v in [payload["value"], *payload["trace"]])
+
+
+# ---- command lines through ``main`` ----
+
+MEASURES = Path(__file__).resolve().parents[1] / "measures"
+measure_files = st.sampled_from(
+    [str(MEASURES / f"{name}.json") for name in ("lebesgue", "power_density_half", "dyadic_atoms")]
+)
+# two draws in three are ordinary values; shrinking heads toward them
+ordinary = st.floats(0.05, 4.0).map(repr)
+reals = st.one_of(
+    ordinary,
+    ordinary,
+    st.sampled_from(["0", "-1", "1e-300", "5e-324", "1e308", "-1e308", "inf", "-inf", "nan"]),
+    st.floats(-5.0, 80.0).map(repr),
+)
+# 1048577 is one past the order cap
+orders = st.sampled_from(
+    ["0", "1", "9", "400", "-1", "1048577", str(1 << 40), "10000000000000", str(10 ** 30), "inf"]
+)
+depths = st.sampled_from(["4", "10", "18", "52", "0", "-1", "3", "53", str(10 ** 30), "nan"])
+
+
+def _flag(name: str, values: st.SearchStrategy) -> st.SearchStrategy:
+    # --name=value, so that argparse takes "-inf" as a value, not an option
+    return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v}"]))
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["moments", "carleson", "transform", "seminorm"]))
+    measure = ["--measure", draw(measure_files)]
+    if command == "moments":
+        return [command, *measure, f"--n={draw(orders)}"]
+    if command == "carleson":
+        return [
+            command,
+            *measure,
+            f"--s={draw(reals)}",
+            *draw(_flag("--t", reals)),
+            *draw(_flag("--r", reals)),
+            *draw(_flag("--depth", depths)),
+        ]
+    if command == "transform":
+        source = draw(
+            st.one_of(st.just(["--input", "{coeffs}"]), reals.map(lambda v: [f"--constant={v}"]))
+        )
+        return [
+            command, *measure, *source, *draw(_flag("--s", reals)), *draw(_flag("--order", orders))
+        ]
+    space = draw(st.sampled_from(["bloch", "hinf", "qp", "lambda"]))
+    return [command, f"--space={space}", *draw(_flag("--p", reals)), "--input", "{coeffs}"]
+
+
+@pytest.fixture(scope="module")
+def coeffs_file(tmp_path_factory):
+    # the order-64 transform of the constant 1 against Lebesgue measure
+    path = tmp_path_factory.mktemp("argv") / "g.txt"
+    path.write_text("".join(f"{1.0 / (n + 1)!r} 0.0\n" for n in range(65)))
+    return str(path)
+
+
+def _finite_numbers(text: str) -> bool:
+    return all(math.isfinite(float(tok)) for tok in text.replace(",", " ").split())
+
+
+@settings(max_examples=80)
+@given(argv=command_lines())
+def test_command_lines_with_edge_values(argv, coeffs_file):
+    argv = [arg.replace("{coeffs}", coeffs_file) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    if lines and lines[0].startswith("usage: "):  # argparse: usage text, then one error line
+        lines = lines[-1:]
+    assert len(lines) <= 1
+    text = out.getvalue()
+    if argv[0] in ("moments", "transform"):
+        assert code != 0 or _finite_numbers(text)
+    elif text:
+        payload = json.loads(text)
+        if payload.get("converged") is True:
+            assert all(math.isfinite(v) for v in [payload["value"], *payload["trace"]])

@@ -316,6 +316,53 @@ class TestCli:
                 "--depth", depth]
         assert main(argv) == code
 
+    @pytest.mark.parametrize(
+        "argv, code, says",
+        [
+            (["carleson", "--measure", "{M}/lebesgue.json", "--s", "60"], 2, "float range"),
+            (["carleson", "--measure", "{M}/power_density_half.json", "--s", "20", "--depth", "52"],
+             2, "float range"),
+            (["carleson", "--measure", "{M}/lebesgue.json", "--s", "1", "--t", "1000"],
+             2, "float range"),
+            (["seminorm", "--space", "lambda", "--p", "inf", "--input", "{g}"], 2, "finite"),
+            (["seminorm", "--space", "qp", "--p", "inf", "--input", "{g}"], 2, "finite"),
+            (["transform", "--measure", "{M}/lebesgue.json", "--constant", "1", "--s", "inf"],
+             2, "s must be positive and finite"),
+            (["transform", "--measure", "{M}/lebesgue.json", "--constant", "1", "--s", "1e308"],
+             3, "overflow"),
+            (["transform", "--measure", "{M}/lebesgue.json", "--constant", "1e308", "--s", "3"],
+             3, "overflow"),
+            (["moments", "--measure", "{M}/lebesgue.json", "--n", "10000000000000"],
+             2, "order must be an integer in [0, 1048576]"),
+            (["transform", "--measure", "{M}/lebesgue.json", "--constant", "1",
+              "--order", "10000000000000"], 2, "order must be an integer in [0, 1048576]"),
+        ],
+        ids=[
+            "carleson_s_60",
+            "carleson_s_20_depth_52",
+            "carleson_t_1000",
+            "lambda_p_inf",
+            "qp_p_inf",
+            "transform_s_inf",
+            "transform_s_huge",
+            "transform_constant_huge",
+            "moments_huge_order",
+            "transform_huge_order",
+        ],
+    )
+    def test_out_of_range_arguments_exit_with_one_line(self, argv, code, says, tmp_path, capsys):
+        coeff = tmp_path / "g.txt"
+        write_coefficients(cesaro_mu(PowerSeries.constant(1.0), Lebesgue(), 400), coeff)
+        argv = [arg.replace("{M}", MEASURES).replace("{g}", str(coeff)) for arg in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = "error: " if code == 2 else "numerics: "
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+        assert says in captured.err
+
     def test_missing_measure_file_is_exit_two(self, capsys):
         assert main(["carleson", "--measure", "/nope.json", "--s", "1"]) == 2
 

@@ -10,6 +10,7 @@ from scipy import integrate
 
 from cesaro.errors import MeasureValidationError, ParameterError
 from cesaro.measure import (
+    MAX_ORDER,
     Atomic,
     Lebesgue,
     Mixture,
@@ -66,6 +67,14 @@ class TestValidation:
 
 
 class TestMoments:
+    def test_order_cap_is_inclusive(self):
+        assert moments_array(Lebesgue(), MAX_ORDER).size == MAX_ORDER + 1
+
+    @pytest.mark.parametrize("order", [-1, MAX_ORDER + 1, 10 ** 13, 2.0, True])
+    def test_rejects_orders_outside_range(self, order):
+        with pytest.raises(ParameterError, match=r"order must be an integer in \[0, 1048576\]"):
+            moments_array(Lebesgue(), order)
+
     def test_lebesgue_closed_form(self):
         seq = moments_array(Lebesgue(), 10)
         for n in range(11):

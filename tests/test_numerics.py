@@ -16,8 +16,6 @@ from cesaro.numerics import (
     DIVERGENT,
     GROWTH_THRESHOLD,
     classify_growth,
-    disk_grid,
-    disk_integral,
     dyadic_radii,
     quad_measure,
     sup_on_dyadic_boundary,
@@ -132,6 +130,23 @@ class TestQuadMeasure:
         assert val == pytest.approx(panels + end, rel=1e-15)
 
 
+class TestQuadOverflow:
+    def test_atom_near_one_overflows_to_numerics_error(self):
+        mu = Atomic((0.5, 1.0 - 2.0 ** -40), (1.0, 1.0))
+        with pytest.raises(NumericsError, match="overflows"):
+            quad_measure(lambda t: np.ones_like(t), mu, singular_exponent=30.0)
+
+    def test_steep_endpoint_weight_is_not_integrable_without_warning(self):
+        # u**-30 overflows on the deepest panels before the exponent is judged
+        with pytest.raises(NumericsError, match="not integrable"):
+            quad_measure(lambda t: np.ones_like(t), Lebesgue(), singular_exponent=30.0)
+
+    def test_mixture_sum_overflow_is_numerics_error(self):
+        mu = Mixture((PowerDensity(0.0, scale=1e308), PowerDensity(0.0, scale=1e308)))
+        with pytest.raises(NumericsError, match="overflows"):
+            quad_measure(lambda t: np.ones_like(t), mu)
+
+
 class TestClassifyGrowth:
     def test_linear_trace_is_bounded(self):
         # polynomial growth has vanishing log-slope; frozen regression
@@ -210,43 +225,6 @@ class TestClassifyGrowth:
     def test_constant_scale_never_divergent(self, scale):
         rep = classify_growth([scale] * 12)
         assert rep.bounded
-
-
-class TestDiskGrid:
-    def test_weights_sum_to_one(self):
-        grid = disk_grid()
-        assert np.sum(grid.weights) == pytest.approx(1.0, rel=1e-14)
-
-    def test_constant_integrates_to_one(self):
-        assert disk_integral(lambda z: np.ones_like(z, dtype=float)) == pytest.approx(
-            1.0, rel=1e-14
-        )
-
-    def test_radial_moment(self):
-        # integral of |z|^2 over the disk, normalized area: 1/2
-        val = disk_integral(lambda z: np.abs(z) ** 2)
-        assert val == pytest.approx(0.5, rel=1e-12)
-
-    def test_angular_mean_zero(self):
-        val = disk_integral(lambda z: z)
-        assert abs(val) < 1e-15
-
-    def test_weight_power_closed_form(self):
-        # integral of (1-|z|^2)^s dA/pi = 1/(s+1); integer exponents are
-        # polynomial in the radius and integrate near-exactly, while the
-        # half-integer endpoint behavior costs the Legendre rule accuracy
-        for s, rel in ((0.5, 2e-6), (1.0, 1e-12), (3.0, 1e-12)):
-            val = disk_integral(lambda z, s=s: (1.0 - np.abs(z) ** 2) ** s)
-            assert val == pytest.approx(1.0 / (s + 1.0), rel=rel)
-
-    def test_cache_returns_same_object(self):
-        assert disk_grid(32, 64) is disk_grid(32, 64)
-
-    def test_rejects_bad_orders(self):
-        from cesaro.numerics import DiskGrid
-
-        with pytest.raises(ParameterError):
-            DiskGrid.build(0, 64)
 
 
 class TestDyadicRadii:

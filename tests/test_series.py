@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cesaro.errors import ParameterError
-from cesaro.measure import Atomic, Lebesgue, PowerDensity, moments_array
+import time
+
+from cesaro.errors import NumericsError, ParameterError
+from cesaro.measure import MAX_ORDER, Atomic, Lebesgue, PowerDensity, moments_array
 from cesaro.series import (
     PowerSeries,
     cesaro_mu,
@@ -129,6 +131,11 @@ class TestGammaRatio:
         with pytest.raises(ParameterError):
             gamma_ratio(np.arange(3), 0.0)
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_rejects_non_finite_s(self, s):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            gamma_ratio(np.arange(3), s)
+
 
 class TestTransforms:
     def test_cesaro_mu_brute_force(self):
@@ -197,6 +204,34 @@ class TestTransforms:
     def test_rejects_negative_order(self):
         with pytest.raises(ParameterError):
             cesaro_mu(PowerSeries.constant(1.0), Lebesgue(), -1)
+
+    @pytest.mark.parametrize("transform", [cesaro_mu, lambda f, mu, n: cesaro_mu_s(f, mu, 2.0, n)])
+    def test_rejects_order_above_cap(self, transform):
+        with pytest.raises(ParameterError):
+            transform(PowerSeries.constant(1.0), Lebesgue(), MAX_ORDER + 1)
+
+    def test_short_input_at_high_order_costs_its_length(self):
+        # the convolution runs over the given coefficients only; padding the
+        # input to the order made this O(order^2), about 20 s at 2^17
+        start = time.perf_counter()
+        g = cesaro_mu_s(PowerSeries.constant(1.0), Lebesgue(), 1.0, 1 << 17)
+        assert time.perf_counter() - start < 5.0
+        assert np.array_equal(g.coeffs.real, 1.0 / np.arange(1.0, (1 << 17) + 2.0))
+
+    def test_unpadded_convolution_matches_padded(self):
+        rng = np.random.default_rng(5)
+        f = PowerSeries(rng.normal(size=7) + 1j * rng.normal(size=7))
+        for order in (3, 6, 40):
+            kern = gamma_ratio(np.arange(order + 1), 1.7)
+            want = np.convolve(f.padded(order), kern)[: order + 1]
+            want *= moments_array(Lebesgue(), order)
+            got = cesaro_mu_s(f, Lebesgue(), 1.7, order).coeffs
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("value, s", [(1.0, 1e308), (1e308, 3.0)])
+    def test_overflow_is_numerics_error(self, value, s):
+        with pytest.raises(NumericsError, match="overflow"):
+            cesaro_mu_s(PowerSeries.constant(value), Lebesgue(), s, 400)
 
 
 class TestIntegralRepresentation:

@@ -31,6 +31,19 @@ def log_series():
 
 
 class TestMp:
+    @pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+    def test_rejects_exponent_outside_range(self, p):
+        with pytest.raises(ParameterError):
+            Mp(PowerSeries(np.asarray([1.0, 1.0])), 0.5, p)
+
+    def test_huge_p_gives_the_max_modulus(self):
+        # every sample is scaled by the largest before the power, so no
+        # power overflows and the mean tends to the max modulus 1 + 0.5
+        assert Mp(PowerSeries(np.asarray([1.0, 1.0])), 0.5, 1e308) == 1.5
+
+    def test_zero_function_gives_zero(self):
+        assert Mp(PowerSeries(np.zeros(3)), 0.5, 3.0) == 0.0
+
     def test_r_zero_gives_constant_term(self):
         f = PowerSeries(np.asarray([3.0, 1.0, 2.0]))
         assert Mp(f, 0.0, 2.0) == pytest.approx(3.0, rel=1e-12)
@@ -342,13 +355,30 @@ class TestCircleKernel:
         with pytest.raises(ParameterError):
             circle_kernel_check(1.0, 1.0)
 
+    @pytest.mark.parametrize("beta", [-1.0, -2.0, math.inf, math.nan])
+    def test_rejects_beta_outside_range(self, beta):
+        with pytest.raises(ParameterError):
+            circle_kernel_check(0.5, beta)
+
+    def test_origin_is_one(self):
+        assert circle_kernel_check(0.0, 0.5).computed == 1.0
+
+    def test_uncertified_tail_is_refused(self, monkeypatch):
+        monkeypatch.setattr(spaces, "CIRCLE_MAX_TERMS", 256)
+        with pytest.raises(NumericsError, match="tail not certified within 256 terms"):
+            circle_kernel_check(1.0 - 2.0 ** -8, 1.0)
+
+    def test_overflow_is_refused(self):
+        with pytest.raises(NumericsError, match="overflows"):
+            circle_kernel_check(0.9, 1000.0)
+
 
 class TestTwoKernel:
     def test_origin_closed_form(self):
         # a = b = 0 reduces to the radial weight integral 1/(s+1)
         for s in (0.5, 1.0):
             chk = two_kernel_check(0.0, 0.0, s, 1.9, 1.9)
-            assert chk.computed == pytest.approx(1.0 / (s + 1.0), rel=1e-6)
+            assert chk.computed == pytest.approx(1.0 / (s + 1.0), rel=1e-14)
             assert chk.bound == 1.0
 
     def test_case_both_exponents_below_edge(self):
@@ -383,3 +413,53 @@ class TestTwoKernel:
     def test_rejects_points_outside_disk(self):
         with pytest.raises(ParameterError):
             two_kernel_check(1.0, 0.5, 1.0, 1.9, 1.9)
+
+    @pytest.mark.parametrize(
+        "s, r, t", [(math.inf, 1.9, 1.9), (1.0, math.inf, 1.5), (1.0, 1.9, math.nan)]
+    )
+    def test_rejects_non_finite_exponents(self, s, r, t):
+        with pytest.raises(ParameterError):
+            two_kernel_check(0.5, 0.5, s, r, t)
+
+    @pytest.mark.parametrize(
+        "s, r, t", [(1.0, 1.9, 1.9), (1.0, 4.0, 1.5), (-0.5, 1.2, 1.2), (0.5, 3.0, 1.0)]
+    )
+    def test_single_singularity_is_hypergeometric(self, s, r, t):
+        # b = 0: sum |F_n|^2 B(n+1, s+1) = 2F1(r/2, r/2; s+2; |a|^2) / (s+1)
+        mp.mp.dps = 20
+        for j in range(0, 11):
+            a = 1.0 - 2.0 ** -j if j else 0.0
+            want = float(mp.hyp2f1(r / 2, r / 2, s + 2, mp.mpf(a) ** 2) / (s + 1))
+            got = two_kernel_check(a * cmath.exp(0.3j * j), 0.0, s, r, t).computed
+            assert got == pytest.approx(want, rel=1e-12), j
+
+    @staticmethod
+    def _mp_parseval(a, b, s, r, t):
+        # F_n by the recurrence that (1-conj(a)z)(1-conj(b)z) F' = (...) F gives,
+        # summed against B(n+1, s+1) far past where |F_n|^2 B could matter
+        mp.mp.dps = 20
+        ca, cb = mp.conj(mp.mpc(a)), mp.conj(mp.mpc(b))
+        rho = max(abs(a), abs(b))
+        prev, cur = mp.mpc(0), mp.mpc(1)
+        weight = 1 / mp.mpf(s + 1)
+        total = mp.mpf(0)
+        for n in range(int(40 / (1.0 - rho)) + 60):
+            total += abs(cur) ** 2 * weight
+            nxt = ((ca + cb) * n + r / 2 * ca + t / 2 * cb) * cur
+            nxt -= ca * cb * (n - 1 + (r + t) / 2) * prev
+            prev, cur = cur, nxt / (n + 1)
+            weight *= mp.mpf(n + 1) / (n + s + 2)
+        return float(total)
+
+    @pytest.mark.parametrize("r, t", [(1.9, 1.9), (4.0, 1.5)])
+    def test_two_singularities_against_mpmath_parseval(self, r, t):
+        b = 0.5 * cmath.exp(1j * cmath.pi / 4)
+        points = [1.0 - 2.0 ** -j for j in range(1, 5)] + [0.0, 0.3j, 0.9 * cmath.exp(-2.0j)]
+        for a in points:
+            want = self._mp_parseval(a, b, 1.0, r, t)
+            assert two_kernel_check(a, b, 1.0, r, t).computed == pytest.approx(want, rel=1e-12), a
+
+    def test_uncertified_tail_is_refused(self, monkeypatch):
+        monkeypatch.setattr(spaces, "DISK_MAX_TERMS", 256)
+        with pytest.raises(NumericsError, match="tail not certified within 256 terms"):
+            two_kernel_check(1.0 - 2.0 ** -8, 0.5, 1.0, 1.9, 1.9)
