@@ -99,15 +99,27 @@ def _running_sup_settled(trace: np.ndarray, rel: float = SUP_CONVERGENCE_RTOL) -
     return (last - prev) <= rel * last
 
 
+def _circle_samples(coeffs: np.ndarray, r: float, m: int) -> np.ndarray:
+    """Values of ``sum c_n z^n`` at ``z = r e^{2 pi i k/m}``, ``k = 0 .. m-1``.
+
+    They are exactly the unscaled ``m``-point inverse FFT of ``c_n r**n``
+    folded modulo ``m``, so no angle count is too small for the degree;
+    an overflow comes back as non-finite samples.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = coeffs * r ** np.arange(coeffs.size)
+        folded = np.pad(scaled, (0, -scaled.size % m)).reshape(-1, m).sum(axis=0)
+        # unscaled inverse FFT in place: no second m-point complex buffer
+        return np.fft.ifft(folded, norm="forward", out=folded)
+
+
 def Mp(f: PowerSeries, r: float, p: float) -> float:
     """Integral mean ``(average of |f|**p over the circle |z|=r)**(1/p)``.
 
     Uniform angular sampling is the trapezoid rule for periodic
     integrands, so the angle count doubles from ``MP_START_ANGLES`` until
     two estimates agree to ``MP_RTOL``; running out of angles raises
-    ``NumericsError``.  The ``m`` samples of a polynomial are exactly
-    ``m * ifft`` of its coefficients ``c_n r**n`` folded modulo ``m``, so
-    no angle count is too small for the degree.
+    ``NumericsError``.  Each circle is sampled by ``_circle_samples``.
     """
     r = float(r)
     p = float(p)
@@ -115,15 +127,12 @@ def Mp(f: PowerSeries, r: float, p: float) -> float:
         raise ParameterError(f"radius must lie in [0, 1), got {r!r}")
     if not 1.0 <= p < math.inf:
         raise ParameterError(f"integral-mean exponent must be finite and >= 1, got {p!r}")
-    scaled = f.coeffs * r ** np.arange(f.coeffs.size)
     prev = None
     est = None
     m = MP_START_ANGLES
     while m <= MP_MAX_ANGLES:
+        modulus = np.abs(_circle_samples(f.coeffs, r, m))
         with np.errstate(over="ignore", invalid="ignore"):
-            folded = np.pad(scaled, (0, -scaled.size % m)).reshape(-1, m).sum(axis=0)
-            # unscaled inverse FFT in place: no second m-point complex buffer
-            modulus = np.abs(np.fft.ifft(folded, norm="forward", out=folded))
             # scaled by the largest sample (1 if all vanish), so the power cannot overflow
             top = float(np.max(modulus)) or 1.0
             modulus /= top
@@ -141,83 +150,89 @@ def Mp(f: PowerSeries, r: float, p: float) -> float:
     )
 
 
-def _dyadic_circle_levels(depth: int, angles: int):
-    # level 0 is the single point z = 0; deeper levels are full circles
-    yield 0, np.asarray([0j])
-    theta = 2.0 * np.pi * np.arange(angles) / angles
-    for j, radius in zip(range(1, depth + 1), dyadic_radii(depth)):
-        yield j, radius * np.exp(1j * theta)
-
-
 def bloch_seminorm(f: PowerSeries) -> SeminormEstimate:
-    """Supremum of ``(1 - |z|**2) |f'(z)|`` over a dyadic disk grid."""
-    fd = f.derivative()
-    trace = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, z in _dyadic_circle_levels(BLOCH_DEPTH, BLOCH_ANGLES):
-            trace.append(float(np.max((1.0 - np.abs(z) ** 2) * np.abs(fd.eval(z)))))
-    arr = np.asarray(trace)
+    """Supremum of ``(1 - |z|**2) |f'(z)|`` over ``z = 0`` and ``BLOCH_ANGLES``
+    angles on each dyadic radius, every circle sampled by ``_circle_samples``."""
+    fd = f.derivative().coeffs
+    radii = np.concatenate([[0.0], dyadic_radii(BLOCH_DEPTH)])
+    arr = np.asarray([(1.0 - r * r) * np.max(np.abs(_circle_samples(fd, r, BLOCH_ANGLES)))
+                      for r in radii])
     if not np.all(np.isfinite(arr)):
         raise NumericsError("Bloch trace is not finite")
     return SeminormEstimate(
         value=float(np.max(arr)),
         levels=tuple(range(BLOCH_DEPTH + 1)),
-        trace=tuple(trace),
+        trace=tuple(float(v) for v in arr),
         converged=_running_sup_settled(arr),
     )
 
 
-def _fft_energy(x: np.ndarray, y: np.ndarray, weights: np.ndarray, what: str) -> float:
-    """``sum |h_n|^2 w_n`` over the first ``len(weights)`` terms of ``h = x * y``; refuses
-    a sum that overflows, or that FFT round-off (at most ``eps log2(2L) ||x|| ||y||``
-    per ``h_n``) could move by ``FFT_ROUNDOFF_RTOL``."""
-    n = 2 * weights.size
+def _fft_energy(x_spec, y_spec, weights: np.ndarray, scale: float, what: str) -> float:
+    """``sum |h_n|^2 w_n`` over the first ``len(weights)`` terms of ``h = x * y``, from
+    the spectra of ``x`` and ``y`` (``x_spec`` is overwritten); refuses a sum that
+    overflows, or that FFT round-off (at most ``eps log2(2L) scale`` per ``h_n``, with
+    ``scale = ||x|| ||y||``) could move by ``FFT_ROUNDOFF_RTOL``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = np.fft.fft(x, n)
-        spectrum *= np.fft.fft(y, n)  # in place: at most two n-point spectra at once
-        mod = np.abs(np.fft.ifft(spectrum, out=spectrum)[: weights.size])
+        x_spec *= y_spec  # in place, like the inverse FFT: no further 2L-point buffer
+        mod = np.abs(np.fft.ifft(x_spec, out=x_spec)[: weights.size])
         total = float(np.sum(mod ** 2 * weights))
-        err = np.finfo(float).eps * math.log2(n) * np.linalg.norm(x) * np.linalg.norm(y)
+        err = np.finfo(float).eps * math.log2(x_spec.size) * scale
         noise = float(np.sum((2.0 * mod + err) * err * weights))
     if not (math.isfinite(total) and noise <= FFT_ROUNDOFF_RTOL * total):
         raise NumericsError(f"{what} is lost to overflow or round-off")
     return total
 
 
-def _qp_probe(fd: np.ndarray, a: complex, p: float) -> tuple[float, int, float]:
-    """Energy at probe ``a``, the series length used and its tail fraction.
+def _qp_level(fd: np.ndarray, r: float, p: float, angles: int) -> list[tuple[float, int, float]]:
+    """Energy, series length and tail fraction at each probe ``a = r e^{2 pi i j/angles}``.
 
+    Turning ``f'`` by ``e^{i theta m}`` leaves ``|h_n|`` alone and makes the
+    kernel the real ``K_k = gamma_ratio(k, p) r^k``; at ``theta = 2 pi j/angles``
+    it rolls the ``2L``-point spectrum of ``f'`` by ``2Lj/angles`` bins (whole,
+    as ``angles`` is a power of two and ``2L >= 128``).  So a series length
+    costs the spectra of ``f'`` and ``K`` plus one inverse FFT per probe, and
+    only probes with an uncertified tail are redone at ``2L``.
     From ``n0 = 3L/4`` on, ``|h_n| <= ||f'||_1 v_{n-len(f')+1}`` where
-    ``v_k = |a|^k gamma_ratio(k, p)`` shrinks by ``rho`` per step from
+    ``v_k = r^k gamma_ratio(k, p)`` shrinks by ``rho`` per step from
     ``m = n0 - len(f') + 1`` on, so those terms lie under a geometric
     series of ratio ``rho**2``: the certified tail.
     """
-    r, theta = abs(a), math.atan2(a.imag, a.real)
-    with np.errstate(over="ignore"):
-        l1 = float(np.sum(np.abs(fd)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        l1, fd_norm = float(np.sum(np.abs(fd))), float(np.linalg.norm(fd))
+    found, pending = [None] * angles, range(angles)
     length = 1 << math.ceil(math.log2(fd.size + 40.0 / (1.0 - r)))
-    while True:
+    while pending:
         length = min(length, QP_MAX_TERMS)
         k = np.arange(length, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            kern = gamma_ratio(k, p) * r ** k * np.exp(-1j * theta * k)  # (1 - conj(a) z)**-p
+            kern = gamma_ratio(k, p) * r ** k  # (1 - r z)**-p
             beta = 1.0 / ((k + p + 1.0) * gamma_ratio(k, p + 1.0))  # B(k+1, p+1)
-        total = _fft_energy(fd, kern, beta, f"probe energy at a = {a:.6g}")
+            scale = fd_norm * float(np.linalg.norm(kern))
+            fd_spec, kern_spec = np.fft.fft(fd, 2 * length), np.fft.fft(kern, 2 * length)
         n0 = 3 * length // 4
         m = n0 - fd.size + 1
         rho = r * max(1.0, (m + p) / (m + 1.0))
         if r == 0.0 or l1 == 0.0:
-            tail = 0.0
-        elif m < 1 or rho >= 1.0 or total == 0.0:
-            tail = math.inf
+            log_tail = -math.inf
+        elif m < 1 or rho >= 1.0:
+            log_tail = math.inf
         else:
             log_v = m * math.log(r) + math.lgamma(m + p) - math.lgamma(p) - math.lgamma(m + 1.0)
             log_b = math.lgamma(n0 + 1.0) + math.lgamma(p + 1.0) - math.lgamma(n0 + p + 2.0)
             log_tail = 2.0 * math.log(l1) + 2.0 * log_v + log_b - math.log1p(-rho * rho)
-            tail = math.exp(min(log_tail - math.log(total), 0.0))
-        if tail <= QP_TAIL_RTOL or length == QP_MAX_TERMS:
-            return (1.0 - r * r) ** p * total, length, tail
+        for j in pending:
+            a = r * np.exp(2j * np.pi * j / angles)
+            total = _fft_energy(np.roll(fd_spec, 2 * length * j // angles), kern_spec, beta,
+                                scale, f"probe energy at a = {a:.6g}")
+            if log_tail == -math.inf:
+                tail = 0.0
+            else:
+                tail = math.exp(min(log_tail - math.log(total), 0.0)) if total else math.inf
+            if tail <= QP_TAIL_RTOL or length == QP_MAX_TERMS:
+                found[j] = ((1.0 - r * r) ** p * total, length, tail)
+        pending = [j for j in pending if found[j] is None]
         length *= 2
+    return found
 
 
 def qp_seminorm(f: PowerSeries, p: float) -> SeminormEstimate:
@@ -226,29 +241,28 @@ def qp_seminorm(f: PowerSeries, p: float) -> SeminormEstimate:
     As ``1-|sigma_a(z)|^2 = (1-|a|^2)(1-|z|^2)/|1-conj(a)z|^2`` and the
     monomials are orthogonal for ``(1-|z|^2)^p dA``, the integral at a
     probe ``a`` is exactly ``(1-|a|^2)^p sum_n |h_n|^2 B(n+1, p+1)`` with
-    ``h = f' (1-conj(a)z)^-p``, one FFT convolution of ``f'`` with
-    ``gamma_ratio(k, p) conj(a)^k``.  The sum is cut at a length ``L``
-    starting at ``2^ceil(log2(len f' + 40/(1-|a|)))`` and doubled until
-    the certified tail from ``3L/4`` on is at most ``QP_TAIL_RTOL`` of it.
-    Converged means the running supremum settled and every tail was
-    certified within ``QP_MAX_TERMS`` terms.
+    ``h = f' (1-conj(a)z)^-p``, an FFT convolution of ``f'`` with
+    ``gamma_ratio(k, p) conj(a)^k``.  The probes are ``a = 0`` and
+    ``QP_ANGLES`` angles on each dyadic radius, one ``_qp_level`` call per
+    radius.  Each sum is cut at a length ``L`` starting at
+    ``2^ceil(log2(len f' + 40/(1-|a|)))`` and doubled until the certified
+    tail from ``3L/4`` on is at most ``QP_TAIL_RTOL`` of it.  Converged
+    means the running supremum settled and every tail was certified
+    within ``QP_MAX_TERMS`` terms.
     """
     p = float(p)
     if not 0.0 < p < math.inf:
         raise ParameterError(f"exponent p must be positive and finite, got {p!r}")
     fd = f.derivative().coeffs
     trace, longest, worst, uncertified = [], 0, 0.0, []
-    for j, probes in _dyadic_circle_levels(QP_DEPTH, QP_ANGLES):
-        best = 0.0
-        for a in probes:
-            energy, length, tail = _qp_probe(fd, complex(a), p)
-            best = max(best, energy)
-            longest = max(longest, length)
-            if tail <= QP_TAIL_RTOL:
-                worst = max(worst, tail)
-            elif j not in uncertified:
-                uncertified.append(j)
-        trace.append(best)
+    # level 0 is the single probe a = 0
+    for j, r in enumerate(np.concatenate([[0.0], dyadic_radii(QP_DEPTH)])):
+        energies, lengths, tails = zip(*_qp_level(fd, float(r), p, QP_ANGLES if j else 1))
+        trace.append(max(energies))
+        longest = max(longest, *lengths)
+        worst = max([worst] + [tail for tail in tails if tail <= QP_TAIL_RTOL])
+        if max(tails) > QP_TAIL_RTOL:
+            uncertified.append(j)
     arr = np.asarray(trace)
     notes = [f"longest probe series {longest} terms; largest certified tail fraction {worst:.1e}"]
     if uncertified:
@@ -317,10 +331,9 @@ def hinf_norm(f: PowerSeries) -> float:
     The maximum principle makes this a lower bound that converges to the
     true sup norm as the radius approaches 1; ``1 - 2**-12`` keeps the
     truncation tail of order-400 bounded-coefficient inputs below 1e-3.
+    The ``HINF_ANGLES`` samples come from ``_circle_samples``.
     """
-    z = HINF_RADIUS * np.exp(2j * np.pi * np.arange(HINF_ANGLES) / HINF_ANGLES)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.max(np.abs(f.eval(z))))
+    value = float(np.max(np.abs(_circle_samples(f.coeffs, HINF_RADIUS, HINF_ANGLES))))
     if not math.isfinite(value):
         raise NumericsError(f"max modulus on |z| = {HINF_RADIUS!r} is not finite")
     return value
@@ -431,7 +444,9 @@ def two_kernel_check(a: complex, b: complex, s: float, r: float, t: float) -> Ke
             fa = gamma_ratio(k, 0.5 * r) * abs(a) ** k
             fb = gamma_ratio(k, 0.5 * t) * abs(b) ** k * np.exp(1j * phase * k)
             beta = 1.0 / ((k + s + 1.0) * gamma_ratio(k, s + 1.0))  # B(k+1, s+1)
-        total = _fft_energy(fa, fb, beta, "two-kernel disk integral")
+            scale = float(np.linalg.norm(fa) * np.linalg.norm(fb))
+            spectra = np.fft.fft(fa, 2 * length), np.fft.fft(fb, 2 * length)
+        total = _fft_energy(*spectra, beta, scale, "two-kernel disk integral")
         # any R < 1/max(|a|,|b|) will do; near it the bound is sharpest
         radius = (1.0 - 0.5 * (r + t) / length) / max(rho, 0.5)
         if radius <= 1.0:

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +12,7 @@ from cesaro import spaces
 from cesaro.corpus import blaschke_factor, bounded_test_functions, dyadic_atoms
 from cesaro.errors import NumericsError, ParameterError
 from cesaro.measure import Lebesgue
-from cesaro.series import PowerSeries, cesaro_mu, compose_mobius, kernel_series
+from cesaro.series import PowerSeries, cesaro_mu, compose_mobius, gamma_ratio, kernel_series
 from cesaro.spaces import (
     Mp,
     bloch_seminorm,
@@ -202,6 +203,12 @@ class TestQp:
         assert est.notes[-1] == "tail not certified within 1024 terms at levels [5, 6, 7, 8]"
 
 
+def _probe(fd, a, p):
+    # the probe at any a: the level kernel's angle-0 probe after turning f' by arg(a)
+    turned = fd * np.exp(1j * cmath.phase(a) * np.arange(fd.size))
+    return spaces._qp_level(turned, abs(a), p, 1)[0]
+
+
 class TestQpOracles:
     """The coefficient-space probe energy against independent closed forms."""
 
@@ -215,7 +222,7 @@ class TestQpOracles:
             x = mp.mpf(r) ** 2
             want = float((1 - x) ** p * mp.hyp2f1(p, p, p + 2, x) / (p + 1))
             for theta in (0.0, 2.3):
-                got, _, tail = spaces._qp_probe(fd, r * cmath.exp(1j * theta), p)
+                got, _, tail = _probe(fd, r * cmath.exp(1j * theta), p)
                 assert got == pytest.approx(want, rel=1e-12), (j, theta)
                 assert tail <= spaces.QP_TAIL_RTOL
 
@@ -231,7 +238,7 @@ class TestQpOracles:
         for a in (0.3, -0.6j, 0.9 * cmath.exp(1j * 1.1), 0.75 * cmath.exp(-2.0j)):
             c = compose_mobius(f, a, order=1499).coeffs[1:]
             want = float(np.sum(n ** 2 * np.abs(c) ** 2 * beta))
-            got, _, _ = spaces._qp_probe(fd, complex(a), p)
+            got, _, _ = _probe(fd, complex(a), p)
             assert got == pytest.approx(want, rel=1e-10), a
 
     @pytest.mark.parametrize("p", [0.2, 1.0, 1.95, 5.0])
@@ -245,6 +252,26 @@ class TestQpOracles:
             )
         )
         assert qp_seminorm(log_series, p).trace[0] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.3, 1.0, 1.7])
+    def test_rolled_probes_equal_direct_convolutions(self, p):
+        # probe j of a level rolls the spectrum of f' by j 2L/8 bins; each must
+        # equal the energy of a direct convolution with (1 - conj(a) z)^-p at its angle
+        rng = np.random.default_rng(31)
+        fd = rng.normal(size=24) + 1j * rng.normal(size=24)
+        for level in range(1, spaces.QP_DEPTH + 1):
+            r = 1.0 - 2.0 ** -level
+            probes = spaces._qp_level(fd, r, p, spaces.QP_ANGLES)
+            assert len(probes) == spaces.QP_ANGLES
+            for j, (got, length, tail) in enumerate(probes):
+                k = np.arange(length, dtype=float)
+                theta = 2.0 * math.pi * j / spaces.QP_ANGLES
+                kern = gamma_ratio(k, p) * (r * np.exp(-1j * theta)) ** k
+                h = np.convolve(fd, kern)[:length]
+                beta = 1.0 / ((k + p + 1.0) * gamma_ratio(k, p + 1.0))
+                want = (1.0 - r * r) ** p * float(np.sum(np.abs(h) ** 2 * beta))
+                assert got == pytest.approx(want, rel=1e-12), (level, j)
+                assert tail <= spaces.QP_TAIL_RTOL
 
 
 class TestLambda:
@@ -310,6 +337,64 @@ class TestCoeffDecay:
     def test_rejects_short_series(self):
         with pytest.raises(ParameterError):
             coeff_decay_test(PowerSeries(np.ones(4)))
+
+
+def _circle(r, m):
+    return r * np.exp(2j * np.pi * np.arange(m) / m)
+
+
+class TestCircleSamples:
+    """The folded FFT against Horner evaluation at the same points."""
+
+    @pytest.mark.parametrize(
+        "size, m",
+        [(1, 64), (37, 64), (64, 64), (65, 64), (128, 64), (200, 64), (1000, 64),
+         (100, 4096), (4096, 4096), (4097, 4096)],
+    )
+    def test_matches_horner(self, size, m):
+        rng = np.random.default_rng(size)
+        f = PowerSeries(rng.normal(size=size) + 1j * rng.normal(size=size))
+        for r in [1.0 - 2.0 ** -j for j in range(0, 13, 2)] + [spaces.HINF_RADIUS]:
+            got, want = spaces._circle_samples(f.coeffs, r, m), f.eval(_circle(r, m))
+            # relative to the largest sample: near a zero Horner's own error dominates
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), r
+
+    def test_long_series_against_mpmath(self):
+        # past a few thousand terms near |z| = 1, Horner at the rounded points
+        # is itself off by about 1e-12, so check a long series against mpmath
+        rng = np.random.default_rng(9)
+        c = rng.normal(size=10000) + 1j * rng.normal(size=10000)
+        m = spaces.HINF_ANGLES
+        got = spaces._circle_samples(c, spaces.HINF_RADIUS, m)
+        mp.mp.dps = 30
+        coeffs = [mp.mpc(x) for x in c[::-1]]
+        for k in (0, 777, 2048, 4095):
+            z = mp.mpf(spaces.HINF_RADIUS) * mp.expjpi(mp.mpf(2 * k) / m)
+            want = complex(mp.polyval(coeffs, z))
+            assert abs(got[k] - want) <= 1e-12 * np.max(np.abs(got)), k
+
+    def test_bloch_and_hinf_match_horner(self):
+        # the order-400 transforms of the four bounded test functions, and the
+        # order-4096 image of the half-weight dyadic atoms (the Bloch necessity input)
+        inputs = [cesaro_mu(f, Lebesgue(), 400) for _, f in bounded_test_functions()]
+        for g in inputs + [cesaro_mu(PowerSeries.constant(1.0), dyadic_atoms(0.5), 1 << 12)]:
+            fd = g.derivative()
+            want = [
+                (1.0 - r * r) * np.max(np.abs(fd.eval(_circle(r, spaces.BLOCH_ANGLES))))
+                for r in [0.0] + [1.0 - 2.0 ** -j for j in range(1, spaces.BLOCH_DEPTH + 1)]
+            ]
+            np.testing.assert_allclose(bloch_seminorm(g).trace, want, rtol=1e-12)
+            hinf = np.max(np.abs(g.eval(_circle(spaces.HINF_RADIUS, spaces.HINF_ANGLES))))
+            assert hinf_norm(g) == pytest.approx(hinf, rel=1e-12)
+
+    def test_long_series_costs_one_fold_per_circle(self):
+        # Horner evaluation took about 2.1 s (bloch) plus 0.65 s (hinf) at order 2^17
+        # on a 2-core machine; the folded FFT takes under 0.1 s
+        g = cesaro_mu(PowerSeries.constant(1.0), Lebesgue(), 1 << 17)
+        start = time.perf_counter()
+        bloch_seminorm(g)
+        hinf_norm(g)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestHinf:
