@@ -1,4 +1,4 @@
-"""Four equivalent tail-decay criteria for measures on [0, 1).
+"""Five equivalent tail-decay criteria for measures on [0, 1).
 
 A finite positive measure is *s-Carleson* when ``mu([t, 1)) <= C (1-t)**s``.
 Each test below probes that property along dyadic levels and classifies
@@ -7,12 +7,16 @@ the resulting trace:
 * ``box_test``        -- tail mass scaled by ``2**(j*s)`` directly
 * ``moment_test``     -- ``(1+n)**s * mu_n`` along ``n = 2**j``
 * ``integral_test_real`` / ``integral_test_complex``
-                      -- ``(1-|a|)**t * integral (1-x)**-r |1-a x|**-(s+t-r)``
+                      -- ``(1-|a|)**t * integral (1-x)**-r |1-conj(a) x|**-(s+t-r)``
                          for probe points ``a`` approaching the boundary,
                          legal for ``0 <= r < s`` and ``t > 0``
 * ``disk_kernel_test``-- ``integral (1-|a|**2)**t / |1-conj(a) x|**(s+t)``
 
-For an s-Carleson measure all four stay bounded; otherwise all four grow.
+Since ``|1 - conj(a) x| >= 1 - |a| x`` on [0, 1), each kernel sample is a
+prefactor times one real ``kernel_integral`` at ``a = 1 - 2**-j``; the
+complex-boundary and disk-kernel samples differ by ``(1+a)**t`` in ``[1, 2**t]``.
+
+For an s-Carleson measure all five stay bounded; otherwise all five grow.
 ``is_s_carleson`` runs the battery and reports the consensus.  Inner
 integrals with a non-integrable endpoint exponent are recorded as
 ``+inf`` samples, which is exactly how a divergent criterion integral
@@ -23,8 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NumericsError, ParameterError
 from .measure import MeasureSpec, tail_mass, total_mass, moments_array
@@ -49,6 +51,7 @@ __all__ = [
     "integral_test_complex",
     "disk_kernel_test",
     "is_s_carleson",
+    "kernel_integral",
 ]
 
 CARLESON = "carleson"
@@ -68,72 +71,55 @@ MOMENT_TOP = 14
 EXPONENT_BUDGET = 900
 
 
-def _check_s(s: float) -> float:
+def _check_args(s: float, depth: int, t: float | None = None) -> tuple[float, float | None]:
+    """``(s, t)`` as floats, if positive, with ``depth`` in ``DEPTH_RANGE`` and
+    the exponent ``s`` (``s + t``) within ``EXPONENT_BUDGET`` to that level."""
     s = float(s)
     if s <= 0.0 or not math.isfinite(s):
         raise ParameterError(f"Carleson order s must be positive, got {s!r}")
-    return s
-
-
-def _check_t(t: float) -> float:
-    t = float(t)
-    if t <= 0.0 or not math.isfinite(t):
-        raise ParameterError(f"exponent t must be positive, got {t!r}")
-    return t
-
-
-def _check_budget(top: int, exponent: float) -> None:
-    if not (top + 1) * exponent <= EXPONENT_BUDGET:
-        raise ParameterError(f"exponent {exponent:g} to level {top} leaves float range "
+    lo, hi = DEPTH_RANGE
+    if not lo <= depth <= hi:
+        raise ParameterError(f"probe depth must lie in [{lo}, {hi}], got {depth!r}")
+    exponent = s
+    if t is not None:
+        t = float(t)
+        if t <= 0.0 or not math.isfinite(t):
+            raise ParameterError(f"exponent t must be positive, got {t!r}")
+        exponent = s + t
+    if not (depth + 1) * exponent <= EXPONENT_BUDGET:
+        raise ParameterError(f"exponent {exponent:g} to level {depth} leaves float range "
                              f"(need (level + 1) * exponent <= {EXPONENT_BUDGET})")
+    return s, t
 
 
-def _check_r(r: float, s: float) -> float:
-    r = float(r)
-    if not (0.0 <= r < s):
-        raise ParameterError(f"singularity exponent r must satisfy 0 <= r < s, got {r!r}")
-    return r
+def kernel_integral(mu: MeasureSpec, a: float, power: float, r: float) -> float:
+    """``integral (1-x)**-r (1-a x)**-power d mu(x)`` at a real probe ``0 <= a < 1``.
 
-
-def _quad_or_inf(g, mu: MeasureSpec, singular_exponent: float) -> float:
+    A sample whose integral ``quad_measure`` refuses (a non-integrable
+    endpoint exponent, or overflow) is ``+inf``, which is how a divergent
+    criterion integral shows up in a trace.
+    """
     try:
-        return float(quad_measure(g, mu, singular_exponent=singular_exponent))
+        return float(quad_measure(lambda x: (1.0 - a * x) ** (-power), mu, singular_exponent=r))
     except NumericsError:
         return math.inf
 
 
-# the integrands h(a) of the kernel criteria; at a real probe a in [0, 1)
-# the boundary kernel's |1 - a x| is just 1 - a x
-def _boundary_kernel(mu: MeasureSpec, s: float, t: float, r: float):
+def _kernel_trace(mu: MeasureSpec, s: float, t: float, r: float | None, depth: int, base):
+    # h(a) = base(a)**t * kernel_integral(mu, a, s + t - r, r), r = s/2 unless given
+    s, t = _check_args(s, depth, t)
+    r = s / 2.0 if r is None else float(r)
+    if not (0.0 <= r < s):
+        raise ParameterError(f"singularity exponent r must satisfy 0 <= r < s, got {r!r}")
     power = s + t - r
-
-    def h(a: complex) -> float:
-        def g(x: np.ndarray) -> np.ndarray:
-            return np.abs(1.0 - a * x) ** (-power)
-
-        return (1.0 - abs(a)) ** t * _quad_or_inf(g, mu, r)
-
-    return h
-
-
-def _disk_kernel(mu: MeasureSpec, s: float, t: float):
-    power = s + t
-
-    def h(a: complex) -> float:
-        numer = (1.0 - abs(a) ** 2) ** t
-
-        def g(x: np.ndarray) -> np.ndarray:
-            return np.abs(1.0 - np.conj(a) * x) ** (-power)
-
-        return numer * _quad_or_inf(g, mu, 0.0)
-
-    return h
+    return sup_on_dyadic_boundary(
+        lambda a: base(a) ** t * kernel_integral(mu, a, power, r), depth=depth
+    )
 
 
 def box_test(mu: MeasureSpec, s: float, depth: int = 18) -> GrowthReport:
     """Trace ``mu([1-2**-j, 1)) * 2**(j*s)``; bounded iff s-Carleson."""
-    s = _check_s(s)
-    _check_budget(depth, s)
+    s, _ = _check_args(s, depth)
     radii = dyadic_radii(depth)
     values = [tail_mass(mu, r) * 2.0 ** (j * s) for j, r in enumerate(radii, start=1)]
     return classify_growth(values, range(1, depth + 1))
@@ -145,8 +131,7 @@ def moment_test(mu: MeasureSpec, s: float) -> GrowthReport:
     The moments of an s-Carleson measure decay like ``(1+n)**-s``, so the
     trace stays bounded exactly on the Carleson side.
     """
-    s = _check_s(s)
-    _check_budget(MOMENT_TOP, s)
+    s, _ = _check_args(s, MOMENT_TOP)
     mus = moments_array(mu, 1 << MOMENT_TOP)
     levels = range(MOMENT_TOP + 1)
     values = [(1.0 + (1 << j)) ** s * mus[1 << j] for j in levels]
@@ -163,35 +148,26 @@ def integral_test_real(
     """Boundary-kernel trace with real probe points ``a = 1 - 2**-j``.
 
     ``h(a) = (1-a)**t * integral (1-x)**-r (1-a x)**-(s+t-r) d mu(x)``,
-    legal for ``0 <= r < s``; a sample whose inner integral diverges is
-    recorded as ``+inf``.
+    legal for ``0 <= r < s`` (default ``s/2``); a sample whose inner
+    integral diverges is recorded as ``+inf``.
     """
-    s = _check_s(s)
-    t = _check_t(t)
-    _check_budget(depth, s + t)
-    r = s / 2.0 if r is None else _check_r(r, s)
-    return sup_on_dyadic_boundary(_boundary_kernel(mu, s, t, r), depth=depth)
+    return _kernel_trace(mu, s, t, r, depth, lambda a: 1.0 - a)
 
 
 def integral_test_complex(
     mu: MeasureSpec,
     s: float,
     t: float = 1.0,
-    r: float = 0.0,
     depth: int = 18,
 ) -> GrowthReport:
-    """Same kernel trace in its complex form.
+    """Boundary-kernel trace over the disk, at ``r = 0``.
 
-    ``h(a) = (1-|a|)**t * integral (1-x)**-r |1 - conj(a) x|**-(s+t-r)``.
+    ``h(a) = (1-|a|)**t * integral |1 - conj(a) x|**-(s+t) d mu(x)``.
     On [0, 1) ``|1 - conj(a) x| >= 1 - |a| x``, so the supremum over each
-    dyadic circle sits at the real probe ``a = 1 - 2**-j``, which is the
-    only one taken.
+    dyadic circle sits at the real probe ``a = 1 - 2**-j``, the only one
+    taken: this is ``integral_test_real`` at ``r = 0``.
     """
-    s = _check_s(s)
-    t = _check_t(t)
-    _check_budget(depth, s + t)
-    r = _check_r(r, s)
-    return sup_on_dyadic_boundary(_boundary_kernel(mu, s, t, r), depth=depth)
+    return _kernel_trace(mu, s, t, 0.0, depth, lambda a: 1.0 - a)
 
 
 def disk_kernel_test(
@@ -205,10 +181,7 @@ def disk_kernel_test(
     Probed at real ``a = 1 - 2**-j``, where each dyadic circle attains
     its supremum.
     """
-    s = _check_s(s)
-    t = _check_t(t)
-    _check_budget(depth, s + t)
-    return sup_on_dyadic_boundary(_disk_kernel(mu, s, t), depth=depth)
+    return _kernel_trace(mu, s, t, 0.0, depth, lambda a: 1.0 - a ** 2)
 
 
 @dataclass(frozen=True)
@@ -246,17 +219,11 @@ def is_s_carleson(
     unresolved numerical question rather than an answer.  ``depth`` must
     lie in ``DEPTH_RANGE``.
     """
-    s = _check_s(s)
-    lo, hi = DEPTH_RANGE
-    if not lo <= depth <= hi:
-        raise ParameterError(f"probe depth must lie in [{lo}, {hi}], got {depth!r}")
     reports = {
         "box": box_test(mu, s, depth=depth),
         "moment": moment_test(mu, s),
-        "integral_real": integral_test_real(
-            mu, s, t=t, r=s / 2.0 if r is None else r, depth=depth
-        ),
-        "integral_complex": integral_test_complex(mu, s, t=t, r=0.0, depth=depth),
+        "integral_real": integral_test_real(mu, s, t=t, r=r, depth=depth),
+        "integral_complex": integral_test_complex(mu, s, t=t, depth=depth),
         "disk_kernel": disk_kernel_test(mu, s, t=t, depth=depth),
     }
     flags = {rep.bounded for rep in reports.values()}
@@ -271,4 +238,6 @@ def is_s_carleson(
         "tail_mass_at_depth": tail_mass(mu, 1.0 - 0.5 ** depth),
         "probe_depth": float(depth),
     }
-    return CarlesonVerdict(order=s, consensus=consensus, reports=reports, diagnostics=diagnostics)
+    return CarlesonVerdict(
+        order=float(s), consensus=consensus, reports=reports, diagnostics=diagnostics
+    )

@@ -229,8 +229,8 @@ def sup_on_dyadic_boundary(
 ) -> GrowthReport:
     """Trace ``S_j = max over angles of h(a)`` at ``|a| = 1 - 2**-j``.
 
-    With ``angles=1`` the probe points are real.  ``h`` returns a float
-    and may return ``inf`` to mark a divergent sample.
+    With ``angles=1`` the probe points are real floats, otherwise complex.
+    ``h`` returns a float and may return ``inf`` to mark a divergent sample.
     """
     if angles < 1:
         raise ParameterError(f"angles must be positive, got {angles}")
@@ -238,6 +238,6 @@ def sup_on_dyadic_boundary(
     theta = 2.0 * np.pi * np.arange(angles) / angles
     values = []
     for radius in radii:
-        probes = radius * np.exp(1j * theta) if angles > 1 else np.asarray([radius + 0j])
-        values.append(max(float(h(complex(a))) for a in probes))
+        probes = radius * np.exp(1j * theta) if angles > 1 else [float(radius)]
+        values.append(max(float(h(a)) for a in probes))
     return classify_growth(values, range(start_level, depth + 1))

@@ -74,8 +74,7 @@ class PowerSeries:
 
     @classmethod
     def monomial(cls, degree: int, coefficient: complex = 1.0) -> "PowerSeries":
-        if degree < 0:
-            raise ParameterError(f"degree must be nonnegative, got {degree}")
+        degree = check_order(degree)
         arr = np.zeros(degree + 1, dtype=np.complex128)
         arr[degree] = coefficient
         return cls(arr)
@@ -86,8 +85,7 @@ class PowerSeries:
 
     def padded(self, order: int) -> np.ndarray:
         """Coefficient vector cut or zero-extended to length ``order + 1``."""
-        if order < 0:
-            raise ParameterError(f"order must be nonnegative, got {order}")
+        order = check_order(order)
         out = np.zeros(order + 1, dtype=np.complex128)
         keep = min(order, self.order) + 1
         out[:keep] = self.coeffs[:keep]
@@ -204,10 +202,7 @@ def compose_mobius(f: PowerSeries, b: complex, order: int | None = None) -> Powe
     b = complex(b)
     if abs(b) >= 1.0:
         raise ParameterError("|b| must be below 1")
-    if order is None:
-        order = f.order
-    if order < 0:
-        raise ParameterError(f"order must be nonnegative, got {order}")
+    order = f.order if order is None else check_order(order)
     if order >= MOBIUS_SAMPLES:
         raise ParameterError(f"order must stay below {MOBIUS_SAMPLES}, got {order}")
     w = np.exp(2j * np.pi * np.arange(MOBIUS_SAMPLES) / MOBIUS_SAMPLES)

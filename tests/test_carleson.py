@@ -1,26 +1,29 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from cesaro import numerics
 from cesaro.carleson import (
     CARLESON,
     EXPONENT_BUDGET,
     NOT_CARLESON,
-    _boundary_kernel,
-    _disk_kernel,
     box_test,
     disk_kernel_test,
     integral_test_complex,
     integral_test_real,
     is_s_carleson,
+    kernel_integral,
     moment_test,
 )
 from cesaro.corpus import labeled_corpus
 from cesaro.errors import ParameterError
 from cesaro.measure import Atomic, Lebesgue, PowerDensity
-from cesaro.numerics import sup_on_dyadic_boundary
+from cesaro.numerics import quad_measure
 
 
 class TestBoxTest:
@@ -128,6 +131,15 @@ class TestIntegralTests:
         with pytest.raises(ParameterError):
             integral_test_real(Lebesgue(), 1.0, t=0.0)
 
+    @pytest.mark.parametrize("test", [box_test, integral_test_real, integral_test_complex,
+                                      disk_kernel_test])
+    @pytest.mark.parametrize("depth", [3, 53, 60])
+    def test_depth_outside_range_is_refused(self, test, depth):
+        # past 53 levels the probe 1 - 2**-j rounds to 1.0 and a kernel
+        # sample would be 0 * inf = nan, which the growth fit skips
+        with pytest.raises(ParameterError, match="probe depth"):
+            test(Lebesgue(), 1.0, depth=depth)
+
 
 class TestDiskKernelTest:
     def test_lebesgue_at_half_is_bounded(self):
@@ -174,18 +186,67 @@ class TestConsensus:
 
 
 class TestRealProbeReduction:
-    """Each dyadic circle attains its supremum at the real probe.
+    """The kernel criteria probe each dyadic circle only at its real point.
 
-    On [0, 1), ``|1 - conj(a) x| >= 1 - |a| x``, and the fixed quadrature
-    rule has positive weights, so every non-real probe integrates a
-    pointwise smaller integrand.  A 64-angle sweep therefore reproduces
-    the criteria's real-probe traces bit for bit.
+    That is exact because of two facts: on [0, 1) ``|1 - conj(a) x| >=
+    1 - |a| x``, so a non-real probe on the same circle integrates a
+    pointwise smaller kernel; and every weight of the quadrature rule is
+    positive, so the rule keeps that order.
     """
 
+    @given(
+        st.floats(-1.0, 1.0),
+        st.floats(-1.0, 1.0),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_real_probe_bounds_the_circle(self, re, im, x):
+        a = complex(re, im)
+        assume(abs(a) < 1.0)
+        # exact in float64 too: hypot(re, im) >= |re| and rounding is monotone
+        assert abs(1.0 - a.conjugate() * x) >= 1.0 - abs(a) * x
+
+    @pytest.mark.parametrize("beta", [-0.999, -0.5, 0.0, 3.0, 15.0])
+    def test_quadrature_weights_are_positive(self, beta):
+        assert np.all(numerics._PANEL_W > 0.0)
+        assert np.all(numerics._PANEL_U > 0.0)
+        # the closed-form end panel is the only evaluation at a single node
+        end = quad_measure(lambda t: np.ones_like(t) * (t.size == 1), PowerDensity(beta))
+        assert end == (0.5 ** numerics.PANELS) ** (beta + 1.0) / (beta + 1.0)
+        assert end > 0.0
+
+    @pytest.mark.parametrize("t", [1.0, 2.5])
     @pytest.mark.parametrize("entry", labeled_corpus(), ids=lambda e: e.name)
-    def test_angular_sweep_matches_real_probe_trace(self, entry):
-        mu, s = entry.measure, entry.order
-        complex_swept = sup_on_dyadic_boundary(_boundary_kernel(mu, s, 1.0, 0.0), 18, 64)
-        disk_swept = sup_on_dyadic_boundary(_disk_kernel(mu, s, 1.0), 18, 64)
-        assert complex_swept.values == integral_test_complex(mu, s, depth=18).values
-        assert disk_swept.values == disk_kernel_test(mu, s, depth=18).values
+    def test_disk_kernel_is_complex_trace_times_one_plus_a(self, entry, t):
+        # (1 - a**2)**t = (1 + a)**t (1 - a)**t: the two criteria share one integral
+        cplx = integral_test_complex(entry.measure, entry.order, t=t)
+        disk = disk_kernel_test(entry.measure, entry.order, t=t)
+        for j, c, d in zip(cplx.levels, cplx.values, disk.values):
+            assert math.isinf(d) == math.isinf(c), j
+            if not math.isinf(c):
+                assert math.isclose(d, (2.0 - 0.5 ** j) ** t * c, rel_tol=1e-14), j
+
+
+class TestKernelIntegral:
+    _DEEP = pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: 1 - a*x cancels at deep probes "
+        "(relative error 1.5e-6 at j = 40, 0.14 at j = 52)",
+    )
+
+    @pytest.mark.parametrize(
+        "j", [1, 10, 18, pytest.param(40, marks=_DEEP), pytest.param(52, marks=_DEEP)]
+    )
+    def test_matches_beta_hypergeometric(self, j):
+        # integral (1-x)**-1/2 (1-a x)**-3 dx = B(1, 1/2) 2F1(3, 1; 3/2; a)
+        a = 1.0 - 2.0 ** -j
+        with mp.workdps(40):
+            ref = float(mp.beta(1, 0.5) * mp.hyp2f1(3, 1, 1.5, mp.mpf(a)))
+        assert math.isclose(kernel_integral(PowerDensity(-0.5), a, 3.0, 0.0), ref, rel_tol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5])
+    def test_infinite_exactly_when_endpoint_not_integrable(self, alpha):
+        mu = PowerDensity(alpha)
+        for r in (0.0, 0.25, alpha + 0.999, alpha + 1.0, alpha + 1.5, alpha + 3.0):
+            value = kernel_integral(mu, 0.5, 2.0, r)
+            assert math.isinf(value) == (alpha - r <= -1.0), r
+            assert value > 0.0

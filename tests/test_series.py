@@ -51,6 +51,13 @@ class TestPowerSeries:
         assert f.padded(4).tolist() == [1.0 + 0j, 2.0 + 0j, 0j, 0j, 0j]
         assert f.padded(0).tolist() == [1.0 + 0j]
 
+    @pytest.mark.parametrize("bad", [2.5, math.nan, -1, True])
+    def test_orders_must_be_integers(self, bad):
+        with pytest.raises(ParameterError):
+            PowerSeries.monomial(bad)
+        with pytest.raises(ParameterError):
+            PowerSeries(np.asarray([1.0, 2.0])).padded(bad)
+
     def test_eval_rejects_boundary(self):
         f = PowerSeries(np.asarray([1.0]))
         with pytest.raises(ParameterError):
@@ -287,6 +294,11 @@ class TestComposeMobius:
     def test_rejects_parameter_outside_disk(self):
         with pytest.raises(ParameterError):
             compose_mobius(PowerSeries.monomial(1), 1.0)
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, -1, True, 4096])
+    def test_rejects_bad_order(self, bad):
+        with pytest.raises(ParameterError):
+            compose_mobius(PowerSeries.monomial(1), 0.5, order=bad)
 
 
 class TestCoefficientFiles:
