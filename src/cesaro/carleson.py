@@ -26,7 +26,7 @@ shows up in the trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NumericsError, ParameterError
 from .measure import MeasureSpec, tail_mass, total_mass, moments_array
@@ -186,20 +186,21 @@ def disk_kernel_test(
 
 @dataclass(frozen=True)
 class CarlesonVerdict:
-    """Joint outcome of the criterion battery for one measure and order."""
+    """Joint outcome of the criterion battery for one measure and order.
+
+    ``consensus`` is ``carleson`` when every report is bounded,
+    ``not_carleson`` when none is, and ``disagreement`` otherwise.
+    """
 
     order: float
-    consensus: str
     reports: dict
     diagnostics: dict
+    consensus: str = field(init=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "consensus": self.consensus,
-            "reports": {name: rep.to_dict() for name, rep in self.reports.items()},
-            "diagnostics": dict(self.diagnostics),
-        }
+    def __post_init__(self):
+        flags = {rep.bounded for rep in self.reports.values()}
+        consensus = CARLESON if flags == {True} else NOT_CARLESON if flags == {False} else DISAGREEMENT
+        object.__setattr__(self, "consensus", consensus)
 
 
 def is_s_carleson(
@@ -226,18 +227,9 @@ def is_s_carleson(
         "integral_complex": integral_test_complex(mu, s, t=t, depth=depth),
         "disk_kernel": disk_kernel_test(mu, s, t=t, depth=depth),
     }
-    flags = {rep.bounded for rep in reports.values()}
-    if flags == {True}:
-        consensus = CARLESON
-    elif flags == {False}:
-        consensus = NOT_CARLESON
-    else:
-        consensus = DISAGREEMENT
     diagnostics = {
         "total_mass": total_mass(mu),
         "tail_mass_at_depth": tail_mass(mu, 1.0 - 0.5 ** depth),
         "probe_depth": float(depth),
     }
-    return CarlesonVerdict(
-        order=float(s), consensus=consensus, reports=reports, diagnostics=diagnostics
-    )
+    return CarlesonVerdict(order=float(s), reports=reports, diagnostics=diagnostics)

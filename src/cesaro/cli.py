@@ -19,6 +19,7 @@ deterministic: repeated runs with the same inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -49,8 +50,14 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _record_dict(record) -> dict:
+    """A result record as JSON: its fields by name, with ``passed`` written as ``"pass"``."""
+    return {"pass" if f.name == "passed" else f.name: getattr(record, f.name)
+            for f in dataclasses.fields(record)}
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True, default=_record_dict) + "\n", out)
 
 
 def _trace_csv(levels: Sequence[int], values: Sequence[float]) -> str:
@@ -76,9 +83,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 def _cmd_carleson(args: argparse.Namespace) -> int:
     mu = load_measure(args.measure)
     verdict = is_s_carleson(mu, args.s, depth=args.depth, t=args.t, r=args.r)
-    payload = verdict.to_dict()
-    payload["schema"] = SCHEMA_VERSION
-    _emit_json(payload, args.out)
+    _emit_json({**_record_dict(verdict), "schema": SCHEMA_VERSION}, args.out)
     if args.trace_dir is not None:
         _write_traces(
             args.trace_dir,
@@ -115,12 +120,8 @@ def _cmd_seminorm(args: argparse.Namespace) -> int:
     elif space == "lambda":
         est = lambda_norm(f, args.p)
     else:
-        value = hinf_norm(f)
-        est = SeminormEstimate(value=value, levels=(0,), trace=(value,), converged=True)
-    payload = est.to_dict()
-    payload["schema"] = SCHEMA_VERSION
-    payload["space"] = space
-    _emit_json(payload, args.out)
+        est = SeminormEstimate(levels=(0,), trace=(hinf_norm(f),), converged=True)
+    _emit_json({**_record_dict(est), "schema": SCHEMA_VERSION, "space": space}, args.out)
     if args.trace_dir is not None:
         _write_traces(args.trace_dir, [(f"seminorm.{space}", est.levels, est.trace)])
     return 0 if est.converged else 3
@@ -129,12 +130,8 @@ def _cmd_seminorm(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = tuple(SCENARIOS) if args.scenario == "all" else (args.scenario,)
     reports = run_all(names)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "pass": all(r.passed for r in reports),
-        "reports": [r.to_dict() for r in reports],
-    }
-    _emit_json(payload, args.out)
+    passed = all(r.passed for r in reports)
+    _emit_json({"schema": SCHEMA_VERSION, "pass": passed, "reports": reports}, args.out)
     if args.trace_dir is not None:
         named = [
             (f"{rep.scenario}.{trace.name}", trace.levels, trace.values)
@@ -142,7 +139,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for trace in rep.traces
         ]
         _write_traces(args.trace_dir, named)
-    return 0 if payload["pass"] else 1
+    return 0 if passed else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

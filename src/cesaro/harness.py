@@ -2,7 +2,7 @@
 
 A scenario produces a ``ScenarioReport``: a claim sentence, the inputs,
 a list of named checks with expected/observed values, and the traces
-behind them.  Reports are plain data; the CLI serializes their dict form.
+behind them.  Reports are plain data; the CLI writes their fields as JSON.
 Every scenario runs at the fixed inputs below and records them in its
 report.
 
@@ -24,7 +24,7 @@ Scenario ids:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -84,14 +84,6 @@ class CheckRecord:
     observed: object
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "observed": self.observed,
-            "pass": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -101,49 +93,22 @@ class TraceRecord:
     levels: tuple[int, ...]
     values: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "levels": list(self.levels), "values": list(self.values)}
-
 
 @dataclass(frozen=True)
 class ScenarioReport:
+    """A scenario's checks and traces; it passes when every check passes."""
+
     scenario: str
     claim: str
     inputs: dict
     checks: tuple[CheckRecord, ...]
-    passed: bool
     traces: tuple[TraceRecord, ...] = ()
+    passed: bool = field(init=False)
 
     def __post_init__(self):
-        if self.passed != all(c.passed for c in self.checks):
-            raise ValueError("overall pass flag must equal the conjunction of checks")
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "claim": self.claim,
-            "inputs": self.inputs,
-            "checks": [c.to_dict() for c in self.checks],
-            "pass": self.passed,
-            "traces": [t.to_dict() for t in self.traces],
-        }
-
-
-def _report(
-    scenario: str,
-    claim: str,
-    inputs: dict,
-    checks: Sequence[CheckRecord],
-    traces: Sequence[TraceRecord] = (),
-) -> ScenarioReport:
-    return ScenarioReport(
-        scenario=scenario,
-        claim=claim,
-        inputs=inputs,
-        checks=tuple(checks),
-        passed=all(c.passed for c in checks),
-        traces=tuple(traces),
-    )
+        object.__setattr__(self, "checks", tuple(self.checks))
+        object.__setattr__(self, "traces", tuple(self.traces))
+        object.__setattr__(self, "passed", all(c.passed for c in self.checks))
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +136,7 @@ def run_criterion_equivalence() -> ScenarioReport:
             TraceRecord(name=f"{entry.name}.{crit}", levels=rep.levels, values=rep.values)
             for crit, rep in verdict.reports.items()
         )
-    return _report(
+    return ScenarioReport(
         "equivalence",
         "For a finite positive measure on [0,1), the dyadic box trace, the "
         "moment trace, both boundary-kernel traces, and the disk-kernel trace "
@@ -218,7 +183,7 @@ def run_divergent_integral() -> ScenarioReport:
                 passed=all(diverged),
             )
         )
-    return _report(
+    return ScenarioReport(
         "divergent-integral",
         "The boundary-kernel criterion requires its interior singularity "
         "exponent r to stay strictly below the order s: at r >= s the inner "
@@ -302,7 +267,7 @@ def run_log_series() -> ScenarioReport:
             values=tuple(float(cumulative[1 << j]) for j in range(9)),
         ),
     ]
-    return _report(
+    return ScenarioReport(
         "log-series",
         "Averaging the constant 1 against Lebesgue measure gives coefficients "
         "exactly 1/(n+1), evaluating to 2 log 2 at z = 1/2; the coefficients "
@@ -336,7 +301,7 @@ def run_kernel_membership() -> ScenarioReport:
         traces.append(
             TraceRecord(name=f"{entry.name}.decay", levels=decay.levels, values=decay.values)
         )
-    return _report(
+    return ScenarioReport(
         "kernel-membership",
         "The kernel series with coefficients gamma_ratio(n, s) * mu_n lies in "
         "the band of spaces between mean-Lipschitz and Bloch exactly when the "
@@ -405,7 +370,7 @@ def run_qp_range() -> ScenarioReport:
     traces.append(
         TraceRecord(name="necessity.bloch", levels=bloch.levels, values=bloch.trace)
     )
-    return _report(
+    return ScenarioReport(
         "qp-range",
         "The averaging transform sends every bounded function into the "
         "invariant-metric space of exponent p in (0, 2) exactly when the "
@@ -492,7 +457,7 @@ def run_lambda_range() -> ScenarioReport:
                     values=decay.values,
                 )
             )
-    return _report(
+    return ScenarioReport(
         "lambda-range",
         "The order-s weighted transform sends every bounded function into "
         "the mean-Lipschitz space of exponent p > max(1, 1/s) exactly when "

@@ -20,7 +20,7 @@ the panels out to the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -141,31 +141,25 @@ class GrowthReport:
 
     ``exponent`` is the fitted growth ``epsilon`` in ``S_j ~ 2**(j*epsilon)``
     (``slope / log 2``); the verdict is ``bounded`` when the slope over the
-    trailing half of the trace stays under ``threshold``.
+    trailing half of the trace stays under ``threshold``.  Both follow
+    from ``slope``.
     """
 
     levels: tuple[int, ...]
     values: tuple[float, ...]
     slope: float
-    exponent: float
-    verdict: str
-    threshold: float
     notes: tuple[str, ...] = ()
+    exponent: float = field(init=False)
+    verdict: str = field(init=False)
+    threshold: float = field(init=False, default=GROWTH_THRESHOLD)
+
+    def __post_init__(self):
+        object.__setattr__(self, "exponent", self.slope / math.log(2.0))
+        object.__setattr__(self, "verdict", BOUNDED if self.slope < self.threshold else DIVERGENT)
 
     @property
     def bounded(self) -> bool:
         return self.verdict == BOUNDED
-
-    def to_dict(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "values": list(self.values),
-            "slope": self.slope,
-            "exponent": self.exponent,
-            "verdict": self.verdict,
-            "threshold": self.threshold,
-            "notes": list(self.notes),
-        }
 
 
 def classify_growth(
@@ -187,37 +181,20 @@ def classify_growth(
         lev = np.asarray(list(levels), dtype=int)
     if vals.shape != lev.shape:
         raise ParameterError(f"{vals.size} values but {lev.size} levels")
-    note_list = []
-
-    def report(slope: float, exponent: float, verdict: str) -> GrowthReport:
-        return GrowthReport(
-            levels=tuple(int(j) for j in lev),
-            values=tuple(float(v) for v in vals),
-            slope=slope,
-            exponent=exponent,
-            verdict=verdict,
-            threshold=GROWTH_THRESHOLD,
-            notes=tuple(note_list),
-        )
-
+    levels, samples = tuple(int(j) for j in lev), tuple(float(v) for v in vals)
     if vals.size and np.isposinf(vals).any():
-        note_list.append("trace contains an infinite sample")
-        return report(math.inf, math.inf, DIVERGENT)
+        return GrowthReport(levels, samples, math.inf, ("trace contains an infinite sample",))
     finite = np.isfinite(vals)
     if int(finite.sum()) < 4:
         raise InconclusiveGrowthError(
             f"only {int(finite.sum())} finite samples; need at least 4 to classify"
         )
     if float(np.max(vals[finite])) <= 0.0:
-        note_list.append("trace is nonpositive")
-        return report(0.0, 0.0, BOUNDED)
+        return GrowthReport(levels, samples, 0.0, ("trace is nonpositive",))
     idx = np.flatnonzero(finite)
     take = idx[-math.ceil(idx.size / 2):]
     y = np.log(np.maximum(vals[take], _LOG_FLOOR))
-    slope = float(np.polyfit(lev[take].astype(float), y, 1)[0])
-    exponent = slope / math.log(2.0)
-    verdict = BOUNDED if slope < GROWTH_THRESHOLD else DIVERGENT
-    return report(slope, exponent, verdict)
+    return GrowthReport(levels, samples, float(np.polyfit(lev[take].astype(float), y, 1)[0]))
 
 
 def sup_on_dyadic_boundary(

@@ -13,7 +13,7 @@ sum Parseval series with certified tails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -73,20 +73,14 @@ class SeminormEstimate:
     edge.
     """
 
-    value: float
     levels: tuple[int, ...]
     trace: tuple[float, ...]
     converged: bool
     notes: tuple[str, ...] = ()
+    value: float = field(init=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "levels": list(self.levels),
-            "trace": list(self.trace),
-            "converged": self.converged,
-            "notes": list(self.notes),
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "value", max(self.trace))
 
 
 def _running_sup_settled(trace: np.ndarray, rel: float = SUP_CONVERGENCE_RTOL) -> bool:
@@ -160,7 +154,6 @@ def bloch_seminorm(f: PowerSeries) -> SeminormEstimate:
     if not np.all(np.isfinite(arr)):
         raise NumericsError("Bloch trace is not finite")
     return SeminormEstimate(
-        value=float(np.max(arr)),
         levels=tuple(range(BLOCH_DEPTH + 1)),
         trace=tuple(float(v) for v in arr),
         converged=_running_sup_settled(arr),
@@ -268,7 +261,6 @@ def qp_seminorm(f: PowerSeries, p: float) -> SeminormEstimate:
     if uncertified:
         notes.append(f"tail not certified within {QP_MAX_TERMS} terms at levels {uncertified}")
     return SeminormEstimate(
-        value=float(np.max(arr)),
         levels=tuple(range(QP_DEPTH + 1)),
         trace=tuple(trace),
         converged=_running_sup_settled(arr) and not uncertified,
@@ -286,7 +278,6 @@ def lambda_norm(f: PowerSeries, p: float) -> SeminormEstimate:
     trace = [float((1.0 - r) ** (1.0 - 1.0 / p) * Mp(fd, r, p)) for r in radii]
     arr = np.asarray(trace)
     return SeminormEstimate(
-        value=float(np.max(arr)),
         levels=tuple(range(LAMBDA_DEPTH + 1)),
         trace=tuple(trace),
         converged=_running_sup_settled(arr),

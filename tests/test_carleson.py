@@ -20,6 +20,7 @@ from cesaro.carleson import (
     kernel_integral,
     moment_test,
 )
+from cesaro.cli import _record_dict
 from cesaro.corpus import labeled_corpus
 from cesaro.errors import ParameterError
 from cesaro.measure import Atomic, Lebesgue, PowerDensity
@@ -177,10 +178,9 @@ class TestConsensus:
         v = is_s_carleson(Lebesgue(), 1.0, depth=10, r=0.25)
         assert v.consensus == CARLESON
 
-    def test_to_dict_is_json_ready(self):
+    def test_serializes_to_json(self):
         v = is_s_carleson(Atomic((0.5,), (1.0,)), 1.0, depth=10)
-        payload = v.to_dict()
-        json.dumps(payload)
+        payload = json.loads(json.dumps(v, default=_record_dict))
         assert payload["consensus"] == CARLESON
         assert "box" in payload["reports"]
 

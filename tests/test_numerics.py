@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
+from cesaro.cli import _record_dict
 from cesaro.errors import InconclusiveGrowthError, NumericsError, ParameterError
 from cesaro.measure import Atomic, Lebesgue, Mixture, PowerDensity
 from cesaro import numerics
@@ -203,12 +204,12 @@ class TestClassifyGrowth:
     def test_notes_propagate(self):
         rep = classify_growth([1.0, 2.0, math.inf, 4.0])
         assert rep.notes == ("trace contains an infinite sample",)
-        assert rep.to_dict()["notes"] == ["trace contains an infinite sample"]
+        payload = json.loads(json.dumps(rep, default=_record_dict))
+        assert payload["notes"] == ["trace contains an infinite sample"]
 
-    def test_to_dict_is_json_ready(self):
+    def test_serializes_to_json(self):
         rep = classify_growth([1.0, 2.0, 4.0, 8.0, 16.0])
-        payload = rep.to_dict()
-        json.dumps(payload)
+        payload = json.loads(json.dumps(rep, default=_record_dict))
         assert payload["verdict"] == DIVERGENT
 
     @given(

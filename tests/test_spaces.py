@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from cesaro import spaces
+from cesaro.cli import _record_dict
 from cesaro.corpus import blaschke_factor, bounded_test_functions, dyadic_atoms
 from cesaro.errors import NumericsError, ParameterError
 from cesaro.measure import Lebesgue
@@ -127,9 +128,10 @@ class TestBloch:
         est = bloch_seminorm(g)
         assert not est.converged
 
-    def test_to_dict_is_json_ready(self):
+    def test_serializes_to_json(self):
         est = bloch_seminorm(PowerSeries.monomial(1))
-        json.dumps(est.to_dict())
+        payload = json.loads(json.dumps(est, default=_record_dict))
+        assert payload["value"] == est.value and payload["trace"] == list(est.trace)
 
 
 class TestQp:
