@@ -128,10 +128,12 @@ def moments_array(mu: MeasureSpec, order: int) -> np.ndarray:
     order = check_order(order)
     n = np.arange(order + 1, dtype=float)
     if isinstance(mu, Atomic):
-        pts = np.asarray(mu.points)
-        wts = np.asarray(mu.weights)
+        # one atom at a time keeps memory at a few order-length arrays;
         # 0**0 = 1 by numpy convention, which is the right mu_0 here
-        return (pts[None, :] ** n[:, None]) @ wts
+        total = np.zeros(order + 1)
+        for p, w in zip(mu.points, mu.weights):
+            total += w * p ** n
+        return total
     if isinstance(mu, Lebesgue):
         return 1.0 / (n + 1.0)
     if isinstance(mu, PowerDensity):

@@ -215,21 +215,22 @@ def compose_mobius(f: PowerSeries, b: complex, order: int | None = None) -> Powe
 def read_coefficients(path: str | Path) -> PowerSeries:
     """Load a series from a text file with one ``<re> <im>`` pair per line."""
     coeffs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParameterError(
-                    f"{path}:{lineno}: expected '<re> <im>', got {line!r}"
-                )
-            try:
-                re_part, im_part = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ParameterError(f"{path}:{lineno}: {exc}") from exc
-            coeffs.append(complex(re_part, im_part))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise ParameterError(f"{path}:{lineno}: expected '<re> <im>', got {line!r}")
+                try:
+                    re_part, im_part = float(parts[0]), float(parts[1])
+                except ValueError as exc:
+                    raise ParameterError(f"{path}:{lineno}: {exc}") from exc
+                coeffs.append(complex(re_part, im_part))
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text: {exc}") from None
     if not coeffs:
         raise ParameterError(f"{path}: no coefficients found")
     return PowerSeries(np.asarray(coeffs))

@@ -1,16 +1,20 @@
 """Fuzz of the input boundaries: files through ``moments`` and ``seminorm``,
-flags through ``moments``, ``carleson``, ``transform`` and ``seminorm``.
+flags through ``moments``, ``carleson``, ``transform``, ``seminorm`` and
+``verify``.
 
 Generated measure JSON (nested mixtures, wrong types, huge, NaN or
 negative numbers, missing fields) must either print finite moments and
 exit 0, or exit 2 or 3 with a one-line message.  Generated coefficient
 files (huge, tiny, negative, ``nan`` and ``inf`` tokens, wrong token
-counts, blank lines, comments) must exit 0 with a converged, finite
-estimate, or 2 or 3 with at most one line on stderr.  Generated command
-lines (every numeric flag at 0, negative, tiny, huge, ``inf`` or
-``nan``, orders past the cap) must exit 0, 2 or 3 with at most one line
-on stderr, and ``converged: true`` only with finite values.  No input
-may raise out of ``main`` or emit a warning.
+counts, blank lines, comments, bytes that are not UTF-8) must exit 0
+with a converged, finite estimate, or 2 or 3 with at most one line on
+stderr.  Generated command lines (every numeric flag at 0, negative,
+tiny, huge, ``inf`` or ``nan``, orders past the cap) must exit 0, 2 or 3
+with at most one line on stderr, and ``converged: true`` only with
+finite values.  ``verify`` command lines (bad or repeated scenario ids,
+unwritable outputs, stray flags) may also exit 1, but only with a report
+that says ``"pass": false``.  No input may raise out of ``main`` or emit
+a warning.
 """
 
 import contextlib
@@ -98,6 +102,10 @@ coefficient_files = st.one_of(
     st.lists(st.one_of(pair, pair, blank_or_comment), min_size=1, max_size=16),
     st.lists(st.one_of(pair, odd, blank_or_comment), min_size=1, max_size=16),
 )
+# raw bytes before or after the text: often none, else a UTF-16 byte-order mark or any bytes
+raw_bytes = st.one_of(
+    st.just(b""), st.just(b""), st.just(b"\xff\xfe\x00"), st.binary(min_size=1, max_size=4)
+)
 spaces = st.sampled_from(
     [["bloch"], ["hinf"], ["qp", "--p", "0.5"], ["qp", "--p", "1.5"], ["lambda", "--p", "1.2"], ["lambda", "--p", "3"]]
 )
@@ -108,10 +116,11 @@ def _reject_constant(name):
 
 
 @settings(max_examples=150)
-@given(lines=coefficient_files, space=spaces)
-def test_seminorm_on_generated_coefficient_files(lines, space, tmp_path_factory):
+@given(lines=coefficient_files, raw=raw_bytes, raw_first=st.booleans(), space=spaces)
+def test_seminorm_on_generated_coefficient_files(lines, raw, raw_first, space, tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "f.txt"
-    path.write_text("\n".join(lines) + "\n")
+    text = ("\n".join(lines) + "\n").encode()
+    path.write_bytes(raw + text if raw_first else text + raw)
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
@@ -209,3 +218,59 @@ def test_command_lines_with_edge_values(argv, coeffs_file):
         payload = json.loads(text)
         if payload.get("converged") is True:
             assert all(math.isfinite(v) for v in [payload["value"], *payload["trace"]])
+
+
+# ---- command lines through ``verify`` ----
+
+# only the two cheapest scenarios run, in about half the draws; every other id is refused
+runnable = st.sampled_from(["divergent-integral", "log-series"])
+scenario_ids = st.one_of(
+    runnable, runnable, runnable, st.sampled_from(["", "bogus", "ALL", "log_series", "-1", "nan"])
+)
+outputs = st.sampled_from([[], [], ["--out", "{out}"], ["--out", "{missing}/r.json"]])
+trace_dirs = st.sampled_from([[], [], ["--trace-dir", "{traces}"], ["--trace-dir", "{file}"]])
+strays = st.sampled_from([[]] * 5 + [["--s=1"], ["--depth", "3"], ["extra"], ["--scenario"]])
+
+
+@st.composite
+def verify_lines(draw):
+    # usually one --scenario, sometimes none or a repeated one
+    count = draw(st.sampled_from([1, 1, 1, 1, 0, 2]))
+    return [
+        "verify",
+        *(f"--scenario={draw(scenario_ids)}" for _ in range(count)),
+        *draw(outputs),
+        *draw(trace_dirs),
+        *draw(strays),
+    ]
+
+
+@pytest.fixture(scope="module")
+def verify_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("verify")
+    (root / "file").write_text("")
+    return {"out": str(root / "r.json"), "missing": str(root / "missing"),
+            "traces": str(root / "traces"), "file": str(root / "file")}
+
+
+@settings(max_examples=60)
+@given(argv=verify_lines())
+def test_verify_command_lines(argv, verify_paths):
+    argv = [arg.format(**verify_paths) for arg in argv]
+    out_file = Path(verify_paths["out"])
+    out_file.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    if lines and lines[0].startswith("usage: "):  # argparse: usage text, then one error line
+        lines = lines[-1:]
+    assert len(lines) <= 1
+    text = out.getvalue() or (out_file.read_text() if out_file.exists() else "")
+    if code == 0:
+        assert json.loads(text)["pass"] is True
+    elif code == 1:
+        assert json.loads(text)["pass"] is False

@@ -354,6 +354,20 @@ class TestCli:
         assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
         assert says in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["seminorm", "--space", "bloch", "--input", "{bad}"],
+         ["transform", "--measure", "{M}/lebesgue.json", "--input", "{bad}"]],
+        ids=["seminorm", "transform"],
+    )
+    def test_non_utf8_coefficient_file_is_exit_two(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\x001 0\n")
+        assert main([arg.replace("{M}", MEASURES).replace("{bad}", str(bad)) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: not UTF-8") and captured.err.count("\n") == 1
+
     def test_missing_measure_file_is_exit_two(self, capsys):
         assert main(["carleson", "--measure", "/nope.json", "--s", "1"]) == 2
 

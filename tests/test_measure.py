@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
+from cesaro.corpus import dyadic_atoms
 from cesaro.errors import MeasureValidationError, ParameterError
 from cesaro.measure import (
     MAX_ORDER,
@@ -85,6 +87,27 @@ class TestMoments:
         for n in range(6):
             expected = 2.0 * 0.25 ** n + 0.75 ** n
             assert moment(mu, n) == pytest.approx(expected, rel=1e-15)
+
+    def test_atomic_matches_power_table(self):
+        # the per-atom sum against the (order+1) x atoms table it replaced;
+        # only the summation order differs, so rtol is atoms * eps
+        mu = dyadic_atoms(0.5)
+        n = np.arange(4097, dtype=float)
+        table = (np.asarray(mu.points)[None, :] ** n[:, None]) @ np.asarray(mu.weights)
+        rtol = len(mu.points) * np.finfo(float).eps
+        np.testing.assert_allclose(moments_array(mu, 4096), table, rtol=rtol, atol=0.0)
+
+    def test_atomic_memory_is_a_few_order_length_arrays(self):
+        # a power table of 512 atoms at order 2**15 would be 134 MB
+        order, atoms = 1 << 15, 512
+        mu = Atomic(tuple(np.linspace(0.0, 0.999, atoms)), (1.0 / atoms,) * atoms)
+        tracemalloc.start()
+        try:
+            moments_array(mu, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * (order + 1)
 
     def test_point_mass_at_zero(self):
         mu = Atomic((0.0,), (3.0,))
