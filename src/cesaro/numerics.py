@@ -181,20 +181,20 @@ def classify_growth(
         lev = np.asarray(list(levels), dtype=int)
     if vals.shape != lev.shape:
         raise ParameterError(f"{vals.size} values but {lev.size} levels")
-    levels, samples = tuple(int(j) for j in lev), tuple(float(v) for v in vals)
+    trace = tuple(int(j) for j in lev), tuple(float(v) for v in vals)
     if vals.size and np.isposinf(vals).any():
-        return GrowthReport(levels, samples, math.inf, ("trace contains an infinite sample",))
+        return GrowthReport(*trace, math.inf, ("trace contains an infinite sample",))
     finite = np.isfinite(vals)
     if int(finite.sum()) < 4:
         raise InconclusiveGrowthError(
             f"only {int(finite.sum())} finite samples; need at least 4 to classify"
         )
     if float(np.max(vals[finite])) <= 0.0:
-        return GrowthReport(levels, samples, 0.0, ("trace is nonpositive",))
+        return GrowthReport(*trace, 0.0, ("trace is nonpositive",))
     idx = np.flatnonzero(finite)
     take = idx[-math.ceil(idx.size / 2):]
     y = np.log(np.maximum(vals[take], _LOG_FLOOR))
-    return GrowthReport(levels, samples, float(np.polyfit(lev[take].astype(float), y, 1)[0]))
+    return GrowthReport(*trace, float(np.polyfit(lev[take].astype(float), y, 1)[0]))
 
 
 def sup_on_dyadic_boundary(
