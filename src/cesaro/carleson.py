@@ -199,7 +199,12 @@ class CarlesonVerdict:
 
     def __post_init__(self):
         flags = {rep.bounded for rep in self.reports.values()}
-        consensus = CARLESON if flags == {True} else NOT_CARLESON if flags == {False} else DISAGREEMENT
+        if flags == {True}:
+            consensus = CARLESON
+        elif flags == {False}:
+            consensus = NOT_CARLESON
+        else:
+            consensus = DISAGREEMENT
         object.__setattr__(self, "consensus", consensus)
 
 

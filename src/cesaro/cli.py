@@ -25,10 +25,11 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .carleson import DISAGREEMENT, is_s_carleson
+from .carleson import DISAGREEMENT, CarlesonVerdict, is_s_carleson
 from .errors import MeasureValidationError, NumericsError, ParameterError
-from .harness import SCENARIOS, run_all
+from .harness import SCENARIOS, CheckRecord, ScenarioReport, TraceRecord, run_all
 from .measure import load_measure, moments_array
+from .numerics import GrowthReport
 from .series import (
     DEFAULT_ORDER,
     PowerSeries,
@@ -52,6 +53,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _record_dict(record) -> dict:
     """A result record as JSON: its fields by name, with ``passed`` written as ``"pass"``."""
+    records = (GrowthReport, SeminormEstimate, CarlesonVerdict, CheckRecord, TraceRecord,
+               ScenarioReport)
+    if not isinstance(record, records):
+        raise TypeError(f"{type(record).__name__} is not a result record")
     return {"pass" if f.name == "passed" else f.name: getattr(record, f.name)
             for f in dataclasses.fields(record)}
 

@@ -181,20 +181,27 @@ def classify_growth(
         lev = np.asarray(list(levels), dtype=int)
     if vals.shape != lev.shape:
         raise ParameterError(f"{vals.size} values but {lev.size} levels")
-    trace = tuple(int(j) for j in lev), tuple(float(v) for v in vals)
+    trace_levels = tuple(int(j) for j in lev)
+    trace_values = tuple(float(v) for v in vals)
     if vals.size and np.isposinf(vals).any():
-        return GrowthReport(*trace, math.inf, ("trace contains an infinite sample",))
+        return GrowthReport(
+            levels=trace_levels, values=trace_values, slope=math.inf,
+            notes=("trace contains an infinite sample",),
+        )
     finite = np.isfinite(vals)
     if int(finite.sum()) < 4:
         raise InconclusiveGrowthError(
             f"only {int(finite.sum())} finite samples; need at least 4 to classify"
         )
     if float(np.max(vals[finite])) <= 0.0:
-        return GrowthReport(*trace, 0.0, ("trace is nonpositive",))
+        return GrowthReport(
+            levels=trace_levels, values=trace_values, slope=0.0, notes=("trace is nonpositive",)
+        )
     idx = np.flatnonzero(finite)
     take = idx[-math.ceil(idx.size / 2):]
     y = np.log(np.maximum(vals[take], _LOG_FLOOR))
-    return GrowthReport(*trace, float(np.polyfit(lev[take].astype(float), y, 1)[0]))
+    slope = float(np.polyfit(lev[take].astype(float), y, 1)[0])
+    return GrowthReport(levels=trace_levels, values=trace_values, slope=slope)
 
 
 def sup_on_dyadic_boundary(

@@ -223,7 +223,9 @@ def read_coefficients(path: str | Path) -> PowerSeries:
                     continue
                 parts = line.split()
                 if len(parts) != 2:
-                    raise ParameterError(f"{path}:{lineno}: expected '<re> <im>', got {line!r}")
+                    raise ParameterError(
+                        f"{path}:{lineno}: expected '<re> <im>', got {line!r}"
+                    )
                 try:
                     re_part, im_part = float(parts[0]), float(parts[1])
                 except ValueError as exc:

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import pytest
@@ -24,6 +25,25 @@ from cesaro.harness import (
 )
 
 
+def _assert_round_trips(rep: ScenarioReport) -> None:
+    # the CLI writes the record's fields; every value must survive JSON unchanged
+    payload = json.loads(json.dumps(rep, default=_record_dict, allow_nan=False))
+    assert (payload["scenario"], payload["claim"], payload["pass"]) == (
+        rep.scenario, rep.claim, rep.passed
+    )
+    assert payload["inputs"] == rep.inputs
+    assert len(payload["checks"]) == len(rep.checks)
+    for check, record in zip(payload["checks"], rep.checks):
+        assert (check["name"], check["pass"]) == (record.name, record.passed)
+        assert check["expected"] == record.expected
+        assert check["observed"] == record.observed
+    assert len(payload["traces"]) == len(rep.traces)
+    for trace, record in zip(payload["traces"], rep.traces):
+        assert trace["name"] == record.name
+        assert trace["levels"] == list(record.levels)
+        assert trace["values"] == list(record.values)
+
+
 class TestReportTypes:
     def _sample_report(self) -> ScenarioReport:
         return ScenarioReport(
@@ -38,9 +58,17 @@ class TestReportTypes:
         )
 
     def test_round_trip(self):
-        # the CLI writes the record's fields; they must survive JSON unchanged
-        text = json.dumps(self._sample_report(), default=_record_dict)
-        assert json.dumps(json.loads(text)) == text
+        _assert_round_trips(self._sample_report())
+
+    @pytest.mark.parametrize(
+        "inputs, observed",
+        [({"x": math.nan}, 1.0), ({1: 2}, 1.0), ({"pair": (1, 2)}, 1.0), ({}, (1.0, 2.0))],
+        ids=["nan", "int-key", "tuple-input", "tuple-observed"],
+    )
+    def test_round_trip_catches_non_json_values(self, inputs, observed):
+        rep = ScenarioReport("x", "claim", inputs, (CheckRecord("c", observed, observed, True),))
+        with pytest.raises((AssertionError, ValueError)):
+            _assert_round_trips(rep)
 
     def test_serializes_to_json(self):
         payload = json.loads(json.dumps(self._sample_report(), default=_record_dict))
@@ -96,8 +124,7 @@ class TestScenarioRuns:
         rep = run_log_series()
         assert rep.passed
         assert rep.scenario == "log-series"
-        text = json.dumps(rep, default=_record_dict)
-        assert json.dumps(json.loads(text)) == text
+        _assert_round_trips(rep)
         names = [c.name for c in rep.checks]
         assert "coefficients_equal_reciprocals" in names
         assert "energy_increments_near_log2" in names

@@ -21,7 +21,9 @@ import pytest
 
 from cesaro.carleson import CARLESON, DISAGREEMENT, NOT_CARLESON, CarlesonVerdict
 from cesaro.cli import _record_dict, main
+from cesaro.corpus import LabeledMeasure
 from cesaro.harness import CheckRecord, ScenarioReport, TraceRecord
+from cesaro.measure import Atomic, Lebesgue
 from cesaro.numerics import BOUNDED, DIVERGENT, GROWTH_THRESHOLD, GrowthReport, classify_growth
 from cesaro.spaces import SeminormEstimate
 
@@ -135,6 +137,11 @@ def test_derived_fields_are_not_arguments(build):
         build()
 
 
-def test_serializer_refuses_other_objects():
+@pytest.mark.parametrize(
+    "value", [object(), Atomic((0.5,), (1.0,)), LabeledMeasure("x", Lebesgue(), 1.0, True)],
+    ids=["object", "measure", "labeled-measure"],
+)
+def test_serializer_refuses_other_objects(value):
+    # measures are dataclasses too, but are written by measure_to_dict with a "type" key
     with pytest.raises(TypeError):
-        json.dumps({"x": object()}, default=_record_dict)
+        json.dumps({"x": value}, default=_record_dict)
