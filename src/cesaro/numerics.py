@@ -19,6 +19,7 @@ the panels out to the caller.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -52,15 +53,16 @@ DIVERGENT = "divergent"
 _LOG_FLOOR = 1e-300
 
 
+@functools.cache
 def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
     # panel k covers u = 1 - t in [2**-(k+1), 2**-k]; nodes run panel by
-    # panel.  numpy's leggauss keeps scipy out of every import.
+    # panel.  numpy's leggauss keeps scipy out of every import; built on
+    # first use, so calls that never integrate never load numpy.polynomial.
     x, w = np.polynomial.legendre.leggauss(PANEL_NODES)
     half = 0.5 ** np.arange(1, PANELS + 1)[:, None]
-    return (half * (1.5 + 0.5 * x)).ravel(), (half * 0.5 * w).ravel()
-
-
-_PANEL_U, _PANEL_W = _panel_rule()
+    u, weights = (half * (1.5 + 0.5 * x)).ravel(), (half * 0.5 * w).ravel()
+    u.flags.writeable = weights.flags.writeable = False  # every call shares this copy
+    return u, weights
 
 
 # bench/tracer.py still looks these names up; no rule or disk grid is built
@@ -113,8 +115,9 @@ def quad_measure(
     else:
         raise ParameterError(f"not a measure: {mu!r}")
     beta = alpha - r
+    panel_u, panel_w = _panel_rule()
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _PANEL_W * _PANEL_U ** beta * np.asarray(g(1.0 - _PANEL_U))
+        vals = panel_w * panel_u ** beta * np.asarray(g(1.0 - panel_u))
         panel_mass = scale * np.sum(vals.reshape(PANELS, PANEL_NODES), axis=1)
         if beta <= -1.0:
             raise NumericsError(

@@ -6,7 +6,7 @@ import pytest
 
 from cesaro.cli import _record_dict, main
 from cesaro.errors import ParameterError
-from cesaro.measure import Lebesgue
+from cesaro.measure import Lebesgue, load_measure, moments_array
 from cesaro.series import PowerSeries, cesaro_mu, write_coefficients
 from cesaro.harness import (
     DIVERGENT_R_VALUES,
@@ -158,6 +158,19 @@ class TestCli:
         assert code == 0
         assert out == "0,1.0\n1,0.5\n2,0.3333333333333333\n3,0.25\n4,0.2\n"
 
+    @pytest.mark.parametrize("order", [0, 16, 70_000])  # 70_000 rows span two writes
+    @pytest.mark.parametrize("name", ["lebesgue", "dyadic_atoms", "power_density_half"])
+    def test_moments_csv_rows_match_one_string_format(self, name, order, tmp_path, capsys):
+        # the reference builds the whole CSV as one string, as the command once did
+        path = f"{MEASURES}/{name}.json"
+        moments = moments_array(load_measure(path), order)
+        want = "".join(f"{n},{float(v)!r}\n" for n, v in enumerate(moments))
+        out = tmp_path / "m.csv"
+        assert main(["moments", "--measure", path, "--n", str(order)]) == 0
+        assert main(["moments", "--measure", path, "--n", str(order), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == want
+        assert out.read_bytes() == want.encode("utf-8")
+
     def test_transform_round_trips_through_files(self, tmp_path, capsys):
         out_file = tmp_path / "g.txt"
         code = main(
@@ -250,6 +263,18 @@ class TestCli:
             main(["seminorm", "--space", "bloch", "--p", "1", "--input", str(coeff)])
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["qp"], "--space qp requires --p"), (["bloch", "--p", "1"], "--space bloch does not take --p")],
+        ids=["qp_without_p", "bloch_with_p"],
+    )
+    def test_seminorm_flags_are_refused_before_the_input_is_read(
+        self, flags, message, tmp_path, capsys
+    ):
+        missing = tmp_path / "missing.txt"
+        assert main(["seminorm", "--space", *flags, "--input", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "space, text",

@@ -1,22 +1,30 @@
-"""What a fresh ``cesaro`` process loads on start-up, and what it can run without."""
+"""Fresh ``cesaro`` processes: what start-up loads and freezes, what a call
+can run without, the process entry, and what a call holds in memory."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from cesaro import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+MEASURES = ROOT / "measures"
 
 PROBE = (
-    "import os, sys, cesaro.cli; "
+    "import gc, os, sys, cesaro.cli; "
     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-    "print(os.environ['OPENBLAS_NUM_THREADS'])"
+    "print(os.environ['OPENBLAS_NUM_THREADS']); "
+    "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))); "
+    "print(gc.get_freeze_count())"
 )
 
 
-def _fresh_run(code: str, threads: str | None = None) -> list[str]:
+def _env(threads: str | None = None) -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -24,8 +32,13 @@ def _fresh_run(code: str, threads: str | None = None) -> list[str]:
     env.pop("OPENBLAS_NUM_THREADS", None)
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+def _fresh_run(code: str, threads: str | None = None) -> list[str]:
     run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=_env(threads), capture_output=True, text=True,
+        timeout=120,
     )
     assert run.returncode == 0, run.stderr
     return run.stdout.splitlines()
@@ -33,9 +46,17 @@ def _fresh_run(code: str, threads: str | None = None) -> list[str]:
 
 def test_cli_import_loads_no_scipy():
     # scipy.special alone would roughly double every CLI call's start-up
-    scipy_modules, threads = _fresh_run(PROBE)
+    scipy_modules, threads = _fresh_run(PROBE)[:2]
     assert scipy_modules == "[]"
     assert threads == "1"
+
+
+def test_cli_import_loads_no_polynomial_and_freezes_nothing():
+    # numpy.polynomial only builds the quadrature rule, on the first integral;
+    # importing the library has no process-wide effect, only the entry freezes
+    polynomial_modules, frozen = _fresh_run(PROBE)[2:]
+    assert polynomial_modules == "[]"
+    assert frozen == "0"
 
 
 @pytest.mark.parametrize("threads", ["2", "4"])
@@ -54,3 +75,71 @@ def test_kernel_checks_run_without_scipy():
     circle_ratio, two_ratio = map(float, line.split())
     assert circle_ratio == pytest.approx(1.0, rel=1e-12)
     assert 0.25 <= two_ratio <= 1.5
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["carleson", "--measure", str(MEASURES / "lebesgue.json"), "--s", "1"], 0),
+        (["seminorm", "--space", "qp", "--input", "{tmp}/missing.txt"], 2),
+        (["seminorm", "--space", "hinf", "--input", "{tmp}/overflow.txt"], 3),
+    ],
+    ids=["exit0", "exit2", "exit3"],
+)
+def test_module_entry_matches_in_process_main(argv, code, tmp_path, capsys):
+    (tmp_path / "overflow.txt").write_text("1e308 0\n1e308 0\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    run = subprocess.run(
+        [sys.executable, "-m", "cesaro.cli", *argv], env=_env(), capture_output=True, timeout=120
+    )
+    assert run.returncode == code
+    assert run.stdout == captured.out.encode("utf-8")
+    assert run.stderr == captured.err.encode("utf-8")
+
+
+def test_both_launchers_freeze_the_import_heap_through_one_entry():
+    # the console script names the same function that ``python -m`` runs
+    scripts = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (target,) = re.findall(r'^cesaro = "cesaro\.cli:(\w+)"$', scripts, re.MULTILINE)
+    assert getattr(cli, target) is cli.run
+    (line,) = _fresh_run(
+        "import contextlib, gc, io, runpy, sys; sys.argv = ['cesaro', '--help']; "
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    try:\n"
+        "        runpy.run_module('cesaro.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, out.getvalue().startswith('usage: cesaro'), gc.get_freeze_count())"
+    )
+    code, printed_help, frozen = line.split()
+    assert (code, printed_help) == ("0", "True")
+    assert int(frozen) > 1000
+
+
+def _peak_rss_mb(argv: list[str]) -> float:
+    # a child's peak RSS includes its launcher's at the fork, so a bare
+    # interpreter launches the call, not this test process
+    (line,) = _fresh_run(
+        "import os, subprocess, sys\n"
+        f"proc = subprocess.Popen([sys.executable, '-m', 'cesaro.cli', *{argv!r}], "
+        "stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+        "print(proc.returncode, usage.ru_maxrss)"
+    )
+    code, maxrss = line.split()
+    assert code == "0"
+    return int(maxrss) / 1024.0  # kilobytes on Linux
+
+
+def test_moments_csv_is_written_without_holding_its_text():
+    # 2**20 + 1 rows are about 25 MB of CSV text; written a chunk of rows at
+    # a time, the call peaks at the moment arrays: at most five order-length
+    # float arrays (40 MB) above a tiny call
+    measure = str(MEASURES / "lebesgue.json")
+    big = _peak_rss_mb(["moments", "--measure", measure, "--n", str(1 << 20)])
+    small = _peak_rss_mb(["moments", "--measure", measure, "--n", "16"])
+    assert big - small < 40.0, (big, small)

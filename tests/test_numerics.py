@@ -122,11 +122,12 @@ class TestQuadMeasure:
 
         val = quad_measure(g, PowerDensity(beta, scale=2.0))
         assert len(calls) == 2
-        assert np.array_equal(calls[0], 1.0 - numerics._PANEL_U)
+        panel_u, panel_w = numerics._panel_rule()
+        assert np.array_equal(calls[0], 1.0 - panel_u)
         assert calls[0].size == numerics.PANELS * numerics.PANEL_NODES
         assert np.array_equal(calls[1], [1.0])
         edge = 0.5 ** numerics.PANELS
-        panels = 2.0 * np.sum(numerics._PANEL_W * numerics._PANEL_U ** beta * np.exp(calls[0]))
+        panels = 2.0 * np.sum(panel_w * panel_u ** beta * np.exp(calls[0]))
         end = 2.0 * edge ** (beta + 1.0) / (beta + 1.0) * math.e
         assert val == pytest.approx(panels + end, rel=1e-15)
 
