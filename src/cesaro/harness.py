@@ -489,5 +489,5 @@ def run_all(names: Sequence[str] | None = None) -> tuple[ScenarioReport, ...]:
     names = tuple(names) if names is not None else tuple(SCENARIOS)
     for name in names:
         if name not in SCENARIOS:
-            raise ParameterError(f"unknown scenario {name!r}")
+            raise ParameterError(f"unknown scenario {name!r}; known: {', '.join(SCENARIOS)}")
     return tuple(SCENARIOS[name]() for name in names)

@@ -27,14 +27,13 @@ __all__ = [
     "Mixture",
     "MeasureSpec",
     "MAX_ORDER",
-    "moment",
+    "check_order",
     "moments_array",
     "tail_mass",
     "total_mass",
     "measure_from_dict",
     "measure_to_dict",
     "load_measure",
-    "save_measure",
 ]
 
 
@@ -147,11 +146,6 @@ def moments_array(mu: MeasureSpec, order: int) -> np.ndarray:
     raise ParameterError(f"not a measure: {mu!r}")
 
 
-def moment(mu: MeasureSpec, n: int) -> float:
-    """The moment ``integral of t**n d mu(t)``."""
-    return float(moments_array(mu, n)[-1])
-
-
 def tail_mass(mu: MeasureSpec, t: float) -> float:
     """Mass of the interval ``[t, 1)``."""
     t = float(t)
@@ -243,9 +237,3 @@ def load_measure(path: str | Path) -> MeasureSpec:
         except (ValueError, RecursionError) as exc:
             raise MeasureValidationError(f"{path}: not valid JSON: {exc}") from None
     return measure_from_dict(data)
-
-
-def save_measure(mu: MeasureSpec, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(measure_to_dict(mu), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -36,7 +36,6 @@ __all__ = [
     "compose_mobius",
     "read_coefficients",
     "coefficients_text",
-    "write_coefficients",
 ]
 
 DEFAULT_ORDER = 400
@@ -240,8 +239,3 @@ def read_coefficients(path: str | Path) -> PowerSeries:
 
 def coefficients_text(f: PowerSeries) -> str:
     return "".join(f"{float(c.real)!r} {float(c.imag)!r}\n" for c in f.coeffs)
-
-
-def write_coefficients(f: PowerSeries, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(coefficients_text(f))

@@ -7,7 +7,7 @@ import pytest
 from cesaro.cli import _record_dict, main
 from cesaro.errors import ParameterError
 from cesaro.measure import Lebesgue, load_measure, moments_array
-from cesaro.series import PowerSeries, cesaro_mu, write_coefficients
+from cesaro.series import PowerSeries, cesaro_mu, coefficients_text
 from cesaro.harness import (
     DIVERGENT_R_VALUES,
     DIVERGENT_S,
@@ -309,7 +309,7 @@ class TestCli:
 
     def test_seminorm_qp_small_p_is_exit_zero(self, tmp_path, capsys):
         coeff = tmp_path / "g.txt"
-        write_coefficients(cesaro_mu(PowerSeries.constant(1.0), Lebesgue(), 400), coeff)
+        coeff.write_text(coefficients_text(cesaro_mu(PowerSeries.constant(1.0), Lebesgue(), 400)))
         code = main(["seminorm", "--space", "qp", "--p", "0.2", "--input", str(coeff)])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -395,7 +395,7 @@ class TestCli:
     )
     def test_out_of_range_arguments_exit_with_one_line(self, argv, code, says, tmp_path, capsys):
         coeff = tmp_path / "g.txt"
-        write_coefficients(cesaro_mu(PowerSeries.constant(1.0), Lebesgue(), 400), coeff)
+        coeff.write_text(coefficients_text(cesaro_mu(PowerSeries.constant(1.0), Lebesgue(), 400)))
         argv = [arg.replace("{M}", MEASURES).replace("{g}", str(coeff)) for arg in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -424,7 +424,13 @@ class TestCli:
         assert main(["carleson", "--measure", "/nope.json", "--s", "1"]) == 2
 
     def test_bad_scenario_is_exit_two(self, capsys):
-        assert main(["verify", "--scenario", "bogus"]) == 2
+        # ``run_all`` is the one validator of ids: one line that lists the known ones
+        for bad in ("bogus", "ALL", ""):
+            assert main(["verify", "--scenario", bad]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line == f"error: unknown scenario {bad!r}; known: {', '.join(SCENARIOS)}"
 
     def test_usage_error_is_exit_two(self, capsys):
         assert main(["carleson"]) == 2

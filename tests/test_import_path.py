@@ -20,7 +20,8 @@ PROBE = (
     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
     "print(os.environ['OPENBLAS_NUM_THREADS']); "
     "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))); "
-    "print(gc.get_freeze_count())"
+    "print(gc.get_freeze_count()); "
+    "print(sorted(m for m in sys.modules if m in ('cesaro.harness', 'cesaro.corpus')))"
 )
 
 
@@ -54,9 +55,14 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_polynomial_and_freezes_nothing():
     # numpy.polynomial only builds the quadrature rule, on the first integral;
     # importing the library has no process-wide effect, only the entry freezes
-    polynomial_modules, frozen = _fresh_run(PROBE)[2:]
+    polynomial_modules, frozen = _fresh_run(PROBE)[2:4]
     assert polynomial_modules == "[]"
     assert frozen == "0"
+
+
+def test_cli_import_loads_no_scenario_harness():
+    # only ``verify`` runs scenarios, and it imports the harness (and corpus) itself
+    assert _fresh_run(PROBE)[4] == "[]"
 
 
 @pytest.mark.parametrize("threads", ["2", "4"])
@@ -68,7 +74,7 @@ def test_kernel_checks_run_without_scipy():
     # sys.modules["scipy"] = None makes every scipy import fail
     (line,) = _fresh_run(
         "import sys; sys.modules['scipy'] = None; "
-        "from cesaro import circle_kernel_check, two_kernel_check; "
+        "from cesaro.spaces import circle_kernel_check, two_kernel_check; "
         "print(circle_kernel_check(0.75, 1.0).ratio, "
         "two_kernel_check(0.5, 0.25j, 1.0, 1.9, 1.9).ratio)"
     )
@@ -83,8 +89,9 @@ def test_kernel_checks_run_without_scipy():
         (["carleson", "--measure", str(MEASURES / "lebesgue.json"), "--s", "1"], 0),
         (["seminorm", "--space", "qp", "--input", "{tmp}/missing.txt"], 2),
         (["seminorm", "--space", "hinf", "--input", "{tmp}/overflow.txt"], 3),
+        (["verify", "--scenario", "log-series"], 0),
     ],
-    ids=["exit0", "exit2", "exit3"],
+    ids=["exit0", "exit2", "exit3", "verify"],
 )
 def test_module_entry_matches_in_process_main(argv, code, tmp_path, capsys):
     (tmp_path / "overflow.txt").write_text("1e308 0\n1e308 0\n")

@@ -20,7 +20,6 @@ from cesaro.series import (
     integral_rep_eval,
     kernel_series,
     read_coefficients,
-    write_coefficients,
 )
 
 from conftest import bounded_coefficient_arrays
@@ -305,7 +304,7 @@ class TestCoefficientFiles:
     def test_round_trip(self, tmp_path):
         f = PowerSeries(np.asarray([1.5 + 0.25j, -2.0, 0.0 + 1e-17j]))
         path = tmp_path / "c.txt"
-        write_coefficients(f, path)
+        path.write_text(coefficients_text(f), encoding="utf-8")
         g = read_coefficients(path)
         assert np.array_equal(f.coeffs, g.coeffs)
 
