@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, check_real
 from .measure import MeasureSpec, tail_mass, total_mass, moments_array
 from .numerics import (
     GrowthReport,
@@ -74,17 +74,13 @@ EXPONENT_BUDGET = 900
 def _check_args(s: float, depth: int, t: float | None = None) -> tuple[float, float | None]:
     """``(s, t)`` as floats, if positive, with ``depth`` in ``DEPTH_RANGE`` and
     the exponent ``s`` (``s + t``) within ``EXPONENT_BUDGET`` to that level."""
-    s = float(s)
-    if s <= 0.0 or not math.isfinite(s):
-        raise ParameterError(f"Carleson order s must be positive, got {s!r}")
+    s = check_real("s", s, 0)
     lo, hi = DEPTH_RANGE
     if not lo <= depth <= hi:
         raise ParameterError(f"probe depth must lie in [{lo}, {hi}], got {depth!r}")
     exponent = s
     if t is not None:
-        t = float(t)
-        if t <= 0.0 or not math.isfinite(t):
-            raise ParameterError(f"exponent t must be positive, got {t!r}")
+        t = check_real("t", t, 0)
         exponent = s + t
     if not (depth + 1) * exponent <= EXPONENT_BUDGET:
         raise ParameterError(f"exponent {exponent:g} to level {depth} leaves float range "
@@ -108,9 +104,7 @@ def kernel_integral(mu: MeasureSpec, a: float, power: float, r: float) -> float:
 def _kernel_trace(mu: MeasureSpec, s: float, t: float, r: float | None, depth: int, base):
     # h(a) = base(a)**t * kernel_integral(mu, a, s + t - r, r), r = s/2 unless given
     s, t = _check_args(s, depth, t)
-    r = s / 2.0 if r is None else float(r)
-    if not (0.0 <= r < s):
-        raise ParameterError(f"singularity exponent r must satisfy 0 <= r < s, got {r!r}")
+    r = s / 2.0 if r is None else check_real("r", r, 0, s, closed=True)
     power = s + t - r
     return sup_on_dyadic_boundary(
         lambda a: base(a) ** t * kernel_integral(mu, a, power, r), depth=depth

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .carleson import DISAGREEMENT, CarlesonVerdict, is_s_carleson
-from .errors import MeasureValidationError, NumericsError, ParameterError
+from .errors import NumericsError, ParameterError
 from .measure import load_measure, moments_array
 from .numerics import GrowthReport
 from .series import (
@@ -133,7 +133,7 @@ def _cmd_seminorm(args: argparse.Namespace) -> int:
     elif space == "lambda":
         est = lambda_norm(f, args.p)
     else:
-        est = SeminormEstimate(levels=(0,), trace=(hinf_norm(f),), converged=True)
+        est = hinf_norm(f)
     _emit_json({**_record_dict(est), "schema": SCHEMA_VERSION, "space": space}, args.out)
     if args.trace_dir is not None:
         _write_traces(args.trace_dir, [(f"seminorm.{space}", est.levels, est.trace)])
@@ -223,7 +223,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (MeasureValidationError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_real
 from .measure import Atomic, Lebesgue, MeasureSpec, Mixture, PowerDensity
 from .series import DEFAULT_ORDER, PowerSeries
 
@@ -93,8 +94,7 @@ def corpus_entry(name: str) -> LabeledMeasure:
 def blaschke_factor(a: complex) -> PowerSeries:
     """Series of ``(a - z)/(1 - conj(a) z)`` to ``DEFAULT_ORDER``, unit modulus on the boundary."""
     a = complex(a)
-    if abs(a) >= 1.0:
-        raise ValueError("|a| must be below 1")
+    check_real("|a|", abs(a), 0, 1, closed=True)
     coeffs = np.empty(DEFAULT_ORDER + 1, dtype=np.complex128)
     coeffs[0] = a
     n = np.arange(1, DEFAULT_ORDER + 1)

@@ -1,17 +1,19 @@
-"""Exception types shared across the package."""
+"""One exception class per CLI exit code, and the one range check for real arguments.
+
+``ParameterError`` is exit 2 (an argument or input outside its domain) and
+``NumericsError`` is exit 3 (a numerical procedure that did not settle).
+``check_real`` is how every real-valued argument is held to its interval.
+"""
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
-    "MeasureValidationError",
     "ParameterError",
     "NumericsError",
-    "InconclusiveGrowthError",
+    "check_real",
 ]
-
-
-class MeasureValidationError(ValueError):
-    """A measure description violates its invariants."""
 
 
 class ParameterError(ValueError):
@@ -30,5 +32,11 @@ class NumericsError(RuntimeError):
         self.estimates = tuple(estimates)
 
 
-class InconclusiveGrowthError(NumericsError):
-    """Too few finite samples to classify a growth trace."""
+def check_real(name: str, x, lo: float, hi: float = math.inf, *, closed: bool = False) -> float:
+    """``float(x)`` if ``lo < x < hi`` (``lo <= x < hi`` when ``closed``), else
+    ``ParameterError``; the comparison is written so that NaN never passes."""
+    x = float(x)
+    if not (lo <= x < hi if closed else lo < x < hi):
+        bracket = "[" if closed else "("
+        raise ParameterError(f"{name} must lie in {bracket}{lo!r}, {hi!r}), got {x!r}")
+    return x

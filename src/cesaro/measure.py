@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import MeasureValidationError, ParameterError
+from .errors import ParameterError, check_real
 
 __all__ = [
     "Atomic",
@@ -45,22 +45,16 @@ class Atomic:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(float(t) for t in self.points))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        points = tuple(check_real("points", t, 0, 1, closed=True) for t in self.points)
+        weights = tuple(check_real("weights", w, 0) for w in self.weights)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", weights)
         if len(self.points) != len(self.weights):
-            raise MeasureValidationError(
-                f"{len(self.points)} points but {len(self.weights)} weights"
-            )
+            raise ParameterError(f"{len(self.points)} points but {len(self.weights)} weights")
         if not self.points:
-            raise MeasureValidationError("atomic measure needs at least one atom")
-        for t in self.points:
-            if not (0.0 <= t < 1.0) or not math.isfinite(t):
-                raise MeasureValidationError(f"atom location {t!r} outside [0, 1)")
-        for w in self.weights:
-            if not (w > 0.0) or not math.isfinite(w):
-                raise MeasureValidationError(f"atom weight {w!r} is not positive")
+            raise ParameterError("atomic measure needs at least one atom")
         if len(set(self.points)) != len(self.points):
-            raise MeasureValidationError("atom locations must be distinct")
+            raise ParameterError("atom locations must be distinct")
 
 
 @dataclass(frozen=True)
@@ -75,12 +69,8 @@ class PowerDensity:
     scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "scale", float(self.scale))
-        if not math.isfinite(self.alpha) or self.alpha <= -1.0:
-            raise MeasureValidationError(f"alpha must exceed -1, got {self.alpha!r}")
-        if not math.isfinite(self.scale) or self.scale <= 0.0:
-            raise MeasureValidationError(f"scale must be positive, got {self.scale!r}")
+        object.__setattr__(self, "alpha", check_real("alpha", self.alpha, -1))
+        object.__setattr__(self, "scale", check_real("scale", self.scale, 0))
 
 
 @dataclass(frozen=True)
@@ -97,12 +87,10 @@ class Mixture:
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
-            raise MeasureValidationError("mixture needs at least one component")
+            raise ParameterError("mixture needs at least one component")
         for part in self.components:
             if not isinstance(part, (Atomic, PowerDensity, Lebesgue, Mixture)):
-                raise MeasureValidationError(
-                    f"mixture component {part!r} is not a measure"
-                )
+                raise ParameterError(f"mixture component {part!r} is not a measure")
 
 
 MeasureSpec = Union[Atomic, PowerDensity, Lebesgue, Mixture]
@@ -148,9 +136,7 @@ def moments_array(mu: MeasureSpec, order: int) -> np.ndarray:
 
 def tail_mass(mu: MeasureSpec, t: float) -> float:
     """Mass of the interval ``[t, 1)``."""
-    t = float(t)
-    if not (0.0 <= t < 1.0):
-        raise ParameterError(f"tail cut must lie in [0, 1), got {t!r}")
+    t = check_real("t", t, 0, 1, closed=True)
     if isinstance(mu, Atomic):
         return float(sum(w for p, w in zip(mu.points, mu.weights) if p >= t))
     if isinstance(mu, Lebesgue):
@@ -181,31 +167,31 @@ def measure_to_dict(mu: MeasureSpec) -> dict:
 def _number(field: str, value) -> float:
     # JSON booleans are ints to Python; neither they nor strings are numbers here
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MeasureValidationError(f"{field} must be a number, got {type(value).__name__}")
+        raise ParameterError(f"{field} must be a number, got {type(value).__name__}")
     try:
         return float(value)
     except OverflowError:
-        raise MeasureValidationError(f"{field} is out of range") from None
+        raise ParameterError(f"{field} is out of range") from None
 
 
 def _from_dict(data, depth: int) -> MeasureSpec:
     if not isinstance(data, dict) or "type" not in data:
-        raise MeasureValidationError(f"measure config must be an object with a 'type': {data!r}")
+        raise ParameterError(f"measure config must be an object with a 'type': {data!r}")
     kind = data["type"]
     extra = set(data) - {"type", "points", "weights", "alpha", "scale", "components"}
     if extra:
-        raise MeasureValidationError(f"unknown measure fields: {sorted(extra)}")
+        raise ParameterError(f"unknown measure fields: {sorted(extra)}")
     if kind == "atomic":
         points, weights = data.get("points", []), data.get("weights", [])
         if not (isinstance(points, list) and isinstance(weights, list)):
-            raise MeasureValidationError("atomic points and weights must be lists")
+            raise ParameterError("atomic points and weights must be lists")
         return Atomic(
             points=tuple(_number("points", t) for t in points),
             weights=tuple(_number("weights", w) for w in weights),
         )
     if kind == "power_density":
         if "alpha" not in data:
-            raise MeasureValidationError("power_density needs an 'alpha' field")
+            raise ParameterError("power_density needs an 'alpha' field")
         return PowerDensity(
             alpha=_number("alpha", data["alpha"]), scale=_number("scale", data.get("scale", 1.0))
         )
@@ -213,12 +199,12 @@ def _from_dict(data, depth: int) -> MeasureSpec:
         return Lebesgue()
     if kind == "mixture":
         if depth >= MAX_NESTING:
-            raise MeasureValidationError(f"mixtures nest deeper than {MAX_NESTING} levels")
+            raise ParameterError(f"mixtures nest deeper than {MAX_NESTING} levels")
         parts = data.get("components", [])
         if not isinstance(parts, list):
-            raise MeasureValidationError("mixture components must be a list")
+            raise ParameterError("mixture components must be a list")
         return Mixture(components=tuple(_from_dict(p, depth + 1) for p in parts))
-    raise MeasureValidationError(f"unknown measure type {kind!r}")
+    raise ParameterError(f"unknown measure type {kind!r}")
 
 
 def measure_from_dict(data: dict) -> MeasureSpec:
@@ -226,7 +212,7 @@ def measure_from_dict(data: dict) -> MeasureSpec:
     mu = _from_dict(data, 0)
     # every moment is at most the total mass, so this keeps them finite
     if not math.isfinite(total_mass(mu)):
-        raise MeasureValidationError("total mass overflows")
+        raise ParameterError("total mass overflows")
     return mu
 
 
@@ -235,5 +221,5 @@ def load_measure(path: str | Path) -> MeasureSpec:
         try:
             data = json.load(fh)
         except (ValueError, RecursionError) as exc:
-            raise MeasureValidationError(f"{path}: not valid JSON: {exc}") from None
+            raise ParameterError(f"{path}: not valid JSON: {exc}") from None
     return measure_from_dict(data)

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InconclusiveGrowthError, NumericsError, ParameterError
+from .errors import NumericsError, ParameterError
 from .measure import Atomic, Lebesgue, MeasureSpec, Mixture, PowerDensity
 
 __all__ = [
@@ -174,8 +174,7 @@ def classify_growth(
     Any ``+inf`` sample short-circuits to divergent.  Otherwise a least
     squares line through ``(j, log S_j)`` over the trailing half of the
     finite samples decides: slope below ``GROWTH_THRESHOLD`` per level is
-    bounded.  Fewer than 4 finite samples raise
-    ``InconclusiveGrowthError``.
+    bounded.  Fewer than 4 finite samples raise ``NumericsError``.
     """
     vals = np.asarray(list(values), dtype=float)
     if levels is None:
@@ -193,9 +192,7 @@ def classify_growth(
         )
     finite = np.isfinite(vals)
     if int(finite.sum()) < 4:
-        raise InconclusiveGrowthError(
-            f"only {int(finite.sum())} finite samples; need at least 4 to classify"
-        )
+        raise NumericsError(f"only {int(finite.sum())} finite samples; need at least 4 to classify")
     if float(np.max(vals[finite])) <= 0.0:
         return GrowthReport(
             levels=trace_levels, values=trace_values, slope=0.0, notes=("trace is nonpositive",)

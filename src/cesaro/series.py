@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, check_real
 from .measure import MeasureSpec, check_order, moments_array
 from .numerics import quad_measure
 
@@ -93,8 +93,8 @@ class PowerSeries:
     def eval(self, z):
         """Value at points strictly inside the unit disk; scalar in, scalar out."""
         arr = np.asarray(z, dtype=np.complex128)
-        if arr.size and float(np.max(np.abs(arr))) >= 1.0:
-            raise ParameterError("evaluation points must satisfy |z| < 1")
+        if arr.size:
+            check_real("|z|", np.max(np.abs(arr)), 0, 1, closed=True)
         out = _horner(self.coeffs, arr)
         if arr.ndim == 0:
             return complex(out)
@@ -119,9 +119,7 @@ def gamma_ratio(n, s: float):
     product ``prod_{k<=n} (k-1+s)/k``; grows like ``n**(s-1)`` up to the
     constant ``1/Gamma(s)``, and equals 1 identically at ``s = 1``.
     """
-    s = float(s)
-    if not 0.0 < s < np.inf:
-        raise ParameterError(f"s must be positive and finite, got {s!r}")
+    s = check_real("s", s, 0)
     arr = np.asarray(n)
     if not np.all(np.isfinite(arr) & (arr >= 0) & (arr == np.floor(arr))):
         raise ParameterError("n must be nonnegative integers")
@@ -177,12 +175,9 @@ def integral_rep_eval(
     Agrees with ``cesaro_mu_s(f, mu, s).eval(z)`` up to truncation once
     the transform order is large enough for the evaluation radius.
     """
-    s = float(s)
-    if not 0.0 < s < np.inf:
-        raise ParameterError(f"s must be positive and finite, got {s!r}")
+    s = check_real("s", s, 0)
     z = complex(z)
-    if not abs(z) < 1.0:
-        raise ParameterError("evaluation point must satisfy |z| < 1")
+    check_real("|z|", abs(z), 0, 1, closed=True)
 
     def g(t: np.ndarray) -> np.ndarray:
         tz = t * z
@@ -199,8 +194,7 @@ def compose_mobius(f: PowerSeries, b: complex, order: int | None = None) -> Powe
     ``MOBIUS_SAMPLES`` samples on the unit circle.
     """
     b = complex(b)
-    if abs(b) >= 1.0:
-        raise ParameterError("|b| must be below 1")
+    check_real("|b|", abs(b), 0, 1, closed=True)
     order = f.order if order is None else check_order(order)
     if order >= MOBIUS_SAMPLES:
         raise ParameterError(f"order must stay below {MOBIUS_SAMPLES}, got {order}")

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, check_real
 from .numerics import GrowthReport, classify_growth, dyadic_radii
 # bench/tracer.py wraps _horner under every module that imports it
 from .series import PowerSeries, _horner, gamma_ratio  # noqa: F401
@@ -67,30 +67,31 @@ KERNEL_TAIL_RTOL, CIRCLE_MAX_TERMS, DISK_MAX_TERMS = 1e-14, 1 << 21, 1 << 19
 class SeminormEstimate:
     """A supremum estimate with its dyadic-level trace.
 
-    ``value`` is the maximum of ``trace``; ``converged`` means the
-    running supremum settled within 2% by the last level, so the sup was
-    attained inside the probed region rather than still growing at its
-    edge.
+    ``levels`` numbers the trace from 0 and ``value`` is its maximum;
+    ``converged`` means the running supremum settled within 2% by the
+    last level, so the sup was attained inside the probed region rather
+    than still growing at its edge.
     """
 
-    levels: tuple[int, ...]
     trace: tuple[float, ...]
     converged: bool
     notes: tuple[str, ...] = ()
+    levels: tuple[int, ...] = field(init=False)
     value: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "levels", tuple(range(len(self.trace))))
         object.__setattr__(self, "value", max(self.trace))
 
 
-def _running_sup_settled(trace: np.ndarray, rel: float = SUP_CONVERGENCE_RTOL) -> bool:
+def _running_sup_settled(trace: np.ndarray) -> bool:
     if trace.size < 2 or not np.all(np.isfinite(trace)):
         return False
     running = np.maximum.accumulate(trace)
     last, prev = float(running[-1]), float(running[-2])
     if last == 0.0:
         return True
-    return (last - prev) <= rel * last
+    return (last - prev) <= SUP_CONVERGENCE_RTOL * last
 
 
 def _circle_samples(coeffs: np.ndarray, r: float, m: int) -> np.ndarray:
@@ -115,12 +116,8 @@ def Mp(f: PowerSeries, r: float, p: float) -> float:
     two estimates agree to ``MP_RTOL``; running out of angles raises
     ``NumericsError``.  Each circle is sampled by ``_circle_samples``.
     """
-    r = float(r)
-    p = float(p)
-    if not (0.0 <= r < 1.0):
-        raise ParameterError(f"radius must lie in [0, 1), got {r!r}")
-    if not 1.0 <= p < math.inf:
-        raise ParameterError(f"integral-mean exponent must be finite and >= 1, got {p!r}")
+    r = check_real("r", r, 0, 1, closed=True)
+    p = check_real("p", p, 1, closed=True)
     prev = None
     est = None
     m = MP_START_ANGLES
@@ -153,11 +150,7 @@ def bloch_seminorm(f: PowerSeries) -> SeminormEstimate:
                       for r in radii])
     if not np.all(np.isfinite(arr)):
         raise NumericsError("Bloch trace is not finite")
-    return SeminormEstimate(
-        levels=tuple(range(BLOCH_DEPTH + 1)),
-        trace=tuple(float(v) for v in arr),
-        converged=_running_sup_settled(arr),
-    )
+    return SeminormEstimate(trace=tuple(float(v) for v in arr), converged=_running_sup_settled(arr))
 
 
 def _fft_energy(x_spec, y_spec, weights: np.ndarray, scale: float, what: str) -> float:
@@ -243,9 +236,7 @@ def qp_seminorm(f: PowerSeries, p: float) -> SeminormEstimate:
     means the running supremum settled and every tail was certified
     within ``QP_MAX_TERMS`` terms.
     """
-    p = float(p)
-    if not 0.0 < p < math.inf:
-        raise ParameterError(f"exponent p must be positive and finite, got {p!r}")
+    p = check_real("p", p, 0)
     fd = f.derivative().coeffs
     trace, longest, worst, uncertified = [], 0, 0.0, []
     # level 0 is the single probe a = 0
@@ -256,32 +247,23 @@ def qp_seminorm(f: PowerSeries, p: float) -> SeminormEstimate:
         worst = max([worst] + [tail for tail in tails if tail <= QP_TAIL_RTOL])
         if max(tails) > QP_TAIL_RTOL:
             uncertified.append(j)
-    arr = np.asarray(trace)
     notes = [f"longest probe series {longest} terms; largest certified tail fraction {worst:.1e}"]
     if uncertified:
         notes.append(f"tail not certified within {QP_MAX_TERMS} terms at levels {uncertified}")
     return SeminormEstimate(
-        levels=tuple(range(QP_DEPTH + 1)),
         trace=tuple(trace),
-        converged=_running_sup_settled(arr) and not uncertified,
+        converged=_running_sup_settled(np.asarray(trace)) and not uncertified,
         notes=tuple(notes),
     )
 
 
 def lambda_norm(f: PowerSeries, p: float) -> SeminormEstimate:
     """Mean-Lipschitz seminorm ``sup_r (1-r)**(1-1/p) Mp(r, f', p)``, p > 1."""
-    p = float(p)
-    if not 1.0 < p < math.inf:
-        raise ParameterError(f"mean-Lipschitz exponent must be finite and exceed 1, got {p!r}")
+    p = check_real("p", p, 1)
     fd = f.derivative()
     radii = np.concatenate([[0.0], dyadic_radii(LAMBDA_DEPTH)])
     trace = [float((1.0 - r) ** (1.0 - 1.0 / p) * Mp(fd, r, p)) for r in radii]
-    arr = np.asarray(trace)
-    return SeminormEstimate(
-        levels=tuple(range(LAMBDA_DEPTH + 1)),
-        trace=tuple(trace),
-        converged=_running_sup_settled(arr),
-    )
+    return SeminormEstimate(trace=tuple(trace), converged=_running_sup_settled(np.asarray(trace)))
 
 
 def coeff_decay_test(f: PowerSeries) -> GrowthReport:
@@ -316,18 +298,19 @@ def coeff_decay_test(f: PowerSeries) -> GrowthReport:
     return classify_growth(values, levels)
 
 
-def hinf_norm(f: PowerSeries) -> float:
+def hinf_norm(f: PowerSeries) -> SeminormEstimate:
     """Max modulus on the circle ``|z| = HINF_RADIUS``, a sup-norm surrogate.
 
     The maximum principle makes this a lower bound that converges to the
     true sup norm as the radius approaches 1; ``1 - 2**-12`` keeps the
     truncation tail of order-400 bounded-coefficient inputs below 1e-3.
-    The ``HINF_ANGLES`` samples come from ``_circle_samples``.
+    The ``HINF_ANGLES`` samples come from ``_circle_samples``; the estimate
+    is the one-level trace of that circle, converged by construction.
     """
     value = float(np.max(np.abs(_circle_samples(f.coeffs, HINF_RADIUS, HINF_ANGLES))))
     if not math.isfinite(value):
         raise NumericsError(f"max modulus on |z| = {HINF_RADIUS!r} is not finite")
-    return value
+    return SeminormEstimate(trace=(value,), converged=True)
 
 
 class KernelComparison(NamedTuple):
@@ -360,11 +343,9 @@ def circle_kernel_check(z: complex, beta: float) -> KernelComparison:
     ``beta < 0``, ``log 1/(1-|z|^2)`` at 0 and ``(1-|z|^2)**-beta`` above,
     so the ratio to that growth law should sit in a modest band.
     """
-    z = complex(z)
-    beta = float(beta)
-    if not (abs(z) < 1.0 and -1.0 < beta < math.inf):
-        raise ParameterError(f"need |z| < 1 and finite beta > -1, got z={z!r}, beta={beta!r}")
-    c, x = 0.5 * (1.0 + beta), abs(z) ** 2
+    x = check_real("|z|", abs(complex(z)), 0, 1, closed=True) ** 2
+    beta = check_real("beta", beta, -1)
+    c = 0.5 * (1.0 + beta)
     gap = 1.0 - x
 
     def step(length: int) -> tuple[float, float]:
@@ -406,25 +387,18 @@ def two_kernel_check(a: complex, b: complex, s: float, r: float, t: float) -> Ke
     and the falling Beta weights certify the tail from ``n = L`` on.
     """
     a, b = complex(a), complex(b)
-    s, r, t = float(s), float(r), float(t)
-    if not (abs(a) < 1.0 and abs(b) < 1.0):
-        raise ParameterError("|a| and |b| must be below 1")
-    if not (-1.0 < s < math.inf and 0.0 < r < math.inf and 0.0 < t < math.inf):
-        raise ParameterError(f"need finite s > -1 and r, t > 0, got s={s!r}, r={r!r}, t={t!r}")
-    if not r + t - s - 2.0 > 0.0:
-        raise ParameterError(
-            f"need r + t - s - 2 > 0 for a nontrivial bound, got {r + t - s - 2.0!r}"
-        )
+    check_real("|a|", abs(a), 0, 1, closed=True)
+    check_real("|b|", abs(b), 0, 1, closed=True)
+    s = check_real("s", s, -1)
+    # the bound takes t < 2+s, and r on either side of 2+s but not on it
     edge = 2.0 + s
-    if r < edge and t < edge:
-        bound = abs(1.0 - np.conj(a) * b) ** (-(r + t - s - 2.0))
-    elif t < edge < r:
-        bound = (1.0 - abs(a) ** 2) ** (edge - r) * abs(1.0 - np.conj(a) * b) ** (-t)
+    t = check_real("t", t, 0, edge)
+    r = check_real("r", r, *((0, edge) if r <= edge else (edge, math.inf)))
+    gap = check_real("r + t - s - 2", r + t - s - 2.0, 0)
+    if r < edge:
+        bound = abs(1.0 - np.conj(a) * b) ** (-gap)
     else:
-        raise ParameterError(
-            "exponents must satisfy max(r,t) < 2+s or t < 2+s < r; "
-            f"got r={r!r}, t={t!r}, s={s!r}"
-        )
+        bound = (1.0 - abs(a) ** 2) ** (edge - r) * abs(1.0 - np.conj(a) * b) ** (-t)
     # turning z by arg(a) leaves every |F_n| alone and makes the a-factor real
     phase = float(np.angle(b.conjugate() * a))
     rho = max(abs(a), abs(b))

@@ -367,10 +367,22 @@ class TestCli:
              2, "float range"),
             (["carleson", "--measure", "{M}/lebesgue.json", "--s", "1", "--t", "1000"],
              2, "float range"),
-            (["seminorm", "--space", "lambda", "--p", "inf", "--input", "{g}"], 2, "finite"),
-            (["seminorm", "--space", "qp", "--p", "inf", "--input", "{g}"], 2, "finite"),
+            (["seminorm", "--space", "lambda", "--p", "inf", "--input", "{g}"], 2,
+             "p must lie in (1, inf), got inf"),
+            (["seminorm", "--space", "qp", "--p", "inf", "--input", "{g}"], 2,
+             "p must lie in (0, inf), got inf"),
             (["transform", "--measure", "{M}/lebesgue.json", "--constant", "1", "--s", "inf"],
-             2, "s must be positive and finite"),
+             2, "s must lie in (0, inf), got inf"),
+            (["carleson", "--measure", "{M}/lebesgue.json", "--s", "nan"], 2,
+             "s must lie in (0, inf), got nan"),
+            (["carleson", "--measure", "{M}/lebesgue.json", "--s", "1", "--r", "1"], 2,
+             "r must lie in [0, 1.0), got 1.0"),
+            (["seminorm", "--space", "qp", "--p", "nan", "--input", "{g}"], 2,
+             "p must lie in (0, inf), got nan"),
+            (["seminorm", "--space", "lambda", "--p", "1", "--input", "{g}"], 2,
+             "p must lie in (1, inf), got 1.0"),
+            (["transform", "--measure", "{M}/lebesgue.json", "--constant", "1", "--s", "-1"], 2,
+             "s must lie in (0, inf), got -1.0"),
             (["transform", "--measure", "{M}/lebesgue.json", "--constant", "1", "--s", "1e308"],
              3, "overflow"),
             (["transform", "--measure", "{M}/lebesgue.json", "--constant", "1e308", "--s", "3"],
@@ -387,6 +399,11 @@ class TestCli:
             "lambda_p_inf",
             "qp_p_inf",
             "transform_s_inf",
+            "carleson_s_nan",
+            "carleson_r_1",
+            "qp_p_nan",
+            "lambda_p_1",
+            "transform_s_negative",
             "transform_s_huge",
             "transform_constant_huge",
             "moments_huge_order",

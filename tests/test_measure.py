@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from cesaro.corpus import dyadic_atoms
-from cesaro.errors import MeasureValidationError, ParameterError
+from cesaro.errors import ParameterError
 from cesaro.measure import (
     MAX_ORDER,
     Atomic,
@@ -30,35 +30,35 @@ from conftest import any_measures
 
 class TestValidation:
     def test_atomic_rejects_point_at_one(self):
-        with pytest.raises(MeasureValidationError):
+        with pytest.raises(ParameterError):
             Atomic((0.5, 1.0), (1.0, 1.0))
 
     def test_atomic_rejects_negative_point(self):
-        with pytest.raises(MeasureValidationError):
+        with pytest.raises(ParameterError):
             Atomic((-0.1,), (1.0,))
 
     def test_atomic_rejects_nonpositive_weight(self):
-        with pytest.raises(MeasureValidationError):
+        with pytest.raises(ParameterError):
             Atomic((0.5,), (0.0,))
 
     def test_atomic_rejects_duplicate_points(self):
-        with pytest.raises(MeasureValidationError):
+        with pytest.raises(ParameterError):
             Atomic((0.5, 0.5), (1.0, 1.0))
 
     def test_atomic_rejects_length_mismatch(self):
-        with pytest.raises(MeasureValidationError):
+        with pytest.raises(ParameterError):
             Atomic((0.5,), (1.0, 2.0))
 
     def test_power_density_rejects_alpha_at_minus_one(self):
-        with pytest.raises(MeasureValidationError):
+        with pytest.raises(ParameterError):
             PowerDensity(-1.0)
 
     def test_power_density_rejects_nonpositive_scale(self):
-        with pytest.raises(MeasureValidationError):
+        with pytest.raises(ParameterError):
             PowerDensity(0.5, scale=0.0)
 
     def test_mixture_rejects_empty(self):
-        with pytest.raises(MeasureValidationError):
+        with pytest.raises(ParameterError):
             Mixture(())
 
     def test_measures_are_hashable(self):
@@ -209,11 +209,11 @@ class TestSerialization:
         assert load_measure(path) == mu
 
     def test_rejects_unknown_type(self):
-        with pytest.raises(MeasureValidationError):
+        with pytest.raises(ParameterError):
             measure_from_dict({"type": "gaussian"})
 
     def test_rejects_unknown_field(self):
-        with pytest.raises(MeasureValidationError):
+        with pytest.raises(ParameterError):
             measure_from_dict({"type": "lebesgue", "mass": 2})
 
     def test_committed_files_load(self):

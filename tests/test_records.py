@@ -126,11 +126,12 @@ def test_scenario_report_fails_with_any_check():
     [
         lambda: GrowthReport((1,), (1.0,), 0.0, exponent=0.0),
         lambda: GrowthReport((1,), (1.0,), 0.0, verdict=BOUNDED),
-        lambda: SeminormEstimate((0,), (1.0,), True, value=1.0),
+        lambda: SeminormEstimate((1.0,), True, value=1.0),
+        lambda: SeminormEstimate((1.0,), True, levels=(0,)),
         lambda: CarlesonVerdict(1.0, {}, {}, consensus=CARLESON),
         lambda: ScenarioReport("x", "claim", {}, (), passed=True),
     ],
-    ids=["exponent", "verdict", "value", "consensus", "passed"],
+    ids=["exponent", "verdict", "value", "levels", "consensus", "passed"],
 )
 def test_derived_fields_are_not_arguments(build):
     with pytest.raises(TypeError):

@@ -387,7 +387,7 @@ class TestCircleSamples:
             ]
             np.testing.assert_allclose(bloch_seminorm(g).trace, want, rtol=1e-12)
             hinf = np.max(np.abs(g.eval(_circle(spaces.HINF_RADIUS, spaces.HINF_ANGLES))))
-            assert hinf_norm(g) == pytest.approx(hinf, rel=1e-12)
+            assert hinf_norm(g).value == pytest.approx(hinf, rel=1e-12)
 
     def test_long_series_costs_one_fold_per_circle(self):
         # Horner evaluation took about 2.1 s (bloch) plus 0.65 s (hinf) at order 2^17
@@ -404,15 +404,15 @@ class TestHinf:
         # all four reference functions have sup norm exactly 1; the
         # interior circle surrogate must land within 1e-3
         for name, f in bounded_test_functions():
-            assert hinf_norm(f) == pytest.approx(1.0, abs=1e-3), name
+            assert hinf_norm(f).value == pytest.approx(1.0, abs=1e-3), name
 
     def test_blaschke_factor_is_inner(self):
         b = blaschke_factor(0.5)
-        assert hinf_norm(b) <= 1.0 + 1e-12
+        assert hinf_norm(b).value <= 1.0 + 1e-12
 
     def test_scales_linearly(self):
         f = PowerSeries(np.asarray([0.0, 2.0]))
-        assert hinf_norm(f) == pytest.approx(2.0 * (1.0 - 2.0 ** -12), rel=1e-12)
+        assert hinf_norm(f).value == pytest.approx(2.0 * (1.0 - 2.0 ** -12), rel=1e-12)
 
 
 class TestCircleKernel:
