@@ -22,27 +22,56 @@ import argparse
 import contextlib
 import dataclasses
 import gc
+import importlib
 import json
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .carleson import DISAGREEMENT, CarlesonVerdict, is_s_carleson
 from .errors import NumericsError, ParameterError
-from .measure import load_measure, moments_array
-from .numerics import GrowthReport
-from .series import (
-    DEFAULT_ORDER,
-    PowerSeries,
-    cesaro_mu_s,
-    coefficients_text,
-    read_coefficients,
-)
-from .spaces import SeminormEstimate, bloch_seminorm, hinf_norm, lambda_norm, qp_seminorm
 
 __all__ = ["main", "run"]
 
 SCHEMA_VERSION = 1
+
+# the layer each name the commands read comes from; a call binds only the
+# names its command reads, so ``--help`` and usage errors load no layer
+_LAYER = {
+    **dict.fromkeys(("load_measure", "moments_array"), "measure"),
+    **dict.fromkeys(("DISAGREEMENT", "is_s_carleson"), "carleson"),
+    **dict.fromkeys(("DEFAULT_ORDER", "PowerSeries", "cesaro_mu_s", "coefficients_text",
+                     "read_coefficients"), "series"),
+    **dict.fromkeys(("bloch_seminorm", "hinf_norm", "lambda_norm", "qp_seminorm"), "spaces"),
+    "run_all": "harness",
+}
+
+# the six result records by defining module and name; an instance's layer is
+# loaded already, so telling a record apart loads nothing
+_RECORDS = {
+    ("cesaro.numerics", "GrowthReport"),
+    ("cesaro.spaces", "SeminormEstimate"),
+    ("cesaro.carleson", "CarlesonVerdict"),
+    ("cesaro.harness", "CheckRecord"),
+    ("cesaro.harness", "TraceRecord"),
+    ("cesaro.harness", "ScenarioReport"),
+}
+
+
+def _bind(names) -> None:
+    """Bind each layer name among ``names`` here; one already bound stays bound,
+    so a name a caller replaced (``bench/tracer.py`` wraps some) keeps its wrapper."""
+    for name in names:
+        if name in _LAYER:
+            module = importlib.import_module(f"cesaro.{_LAYER[name]}")
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    # a caller that looks a layer name up on this module gets every layer bound
+    if name not in _LAYER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAYER)
+    return globals()[name]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -54,12 +83,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _record_dict(record) -> dict:
     """A result record as JSON: its fields by name, with ``passed`` written as ``"pass"``."""
-    if not isinstance(record, (GrowthReport, SeminormEstimate, CarlesonVerdict)):
-        # only ``verify`` makes scenario records, so other calls never load the harness
-        from .harness import CheckRecord, ScenarioReport, TraceRecord
-
-        if not isinstance(record, (CheckRecord, TraceRecord, ScenarioReport)):
-            raise TypeError(f"{type(record).__name__} is not a result record")
+    if not any((cls.__module__, cls.__qualname__) in _RECORDS for cls in type(record).__mro__):
+        raise TypeError(f"{type(record).__name__} is not a result record")
     return {"pass" if f.name == "passed" else f.name: getattr(record, f.name)
             for f in dataclasses.fields(record)}
 
@@ -114,7 +139,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         f = read_coefficients(args.input)
     else:
         f = PowerSeries.constant(args.constant)
-    g = cesaro_mu_s(f, mu, args.s, args.order)
+    order = DEFAULT_ORDER if args.order is None else args.order
+    g = cesaro_mu_s(f, mu, args.s, order)
     _emit(coefficients_text(g), args.out)
     return 0
 
@@ -141,9 +167,7 @@ def _cmd_seminorm(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from . import harness  # the scenarios and the corpus they read load for ``verify`` only
-
-    reports = harness.run_all(None if args.scenario == "all" else (args.scenario,))
+    reports = run_all(None if args.scenario == "all" else (args.scenario,))
     passed = all(r.passed for r in reports)
     _emit_json({"schema": SCHEMA_VERSION, "pass": passed, "reports": reports}, args.out)
     if args.trace_dir is not None:
@@ -187,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("transform", help="apply the order-s averaging transform")
     p_tr.add_argument("--measure", required=True, help="measure JSON file")
     p_tr.add_argument("--s", type=float, default=1.0, help="transform order")
-    p_tr.add_argument("--order", type=int, default=DEFAULT_ORDER, help="truncation order")
+    p_tr.add_argument("--order", type=int, help="truncation order")
     src = p_tr.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="coefficient file, one '<re> <im>' pair per line")
     src.add_argument(
@@ -215,12 +239,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace | int:
+    """The parsed call with the layer names its command reads bound, or the
+    exit code of a parse that ends the call (``--help``, a usage error)."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # a command's body reads its layer names directly, none inside a comprehension
+    _bind(args.func.__code__.co_names)
+    return args
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
     except ParameterError as exc:
@@ -234,15 +265,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parse(argv)
+    return args if isinstance(args, int) else _dispatch(args)
+
+
 def run() -> int:
     """Process entry of ``python -m cesaro.cli`` and the ``cesaro`` script.
 
-    Everything imported so far lives until exit, so it is frozen out of the
-    collector: no later collection, and none at interpreter shutdown, walks
-    it again.  ``main`` itself stays free of process-wide side effects.
+    Everything imported by the time the command runs, its layers included,
+    lives until exit, so it is frozen out of the collector: no later
+    collection, and none at interpreter shutdown, walks it again.  ``main``
+    itself stays free of process-wide side effects.
     """
+    args = _parse(None)
     gc.freeze()
-    return main()
+    return args if isinstance(args, int) else _dispatch(args)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, check_real
 from .measure import Atomic, Lebesgue, MeasureSpec, Mixture, PowerDensity
 
 __all__ = [
@@ -97,9 +97,10 @@ def quad_measure(
     exactly.  Density parts use the fixed graded panel rule; an endpoint
     exponent ``alpha - singular_exponent <= -1`` is not integrable and
     raises ``NumericsError``, which is how a divergent integral
-    announces itself; so does an integral that overflows.
+    announces itself; so does an integral that overflows.  A non-finite
+    exponent raises ``ParameterError``.
     """
-    r = float(singular_exponent)
+    r = check_real("singular_exponent", singular_exponent, -math.inf)
     if isinstance(mu, Atomic):
         t, w = np.asarray(mu.points), np.asarray(mu.weights)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -9,9 +9,7 @@ multiply by moments after an averaging step on the coefficients:
 
 where ``gamma_ratio(m, s) = Gamma(m+s) / (Gamma(s) m!)`` are the Taylor
 coefficients of ``(1-z)**-s``, so ``s = 1`` reduces the second form to
-the first.  ``integral_rep_eval`` evaluates the same transform through
-its integral form ``integral of f(tz) (1-tz)**-s d mu(t)`` and is the
-cross-check the transform tests lean on.
+the first.
 """
 
 from __future__ import annotations
@@ -23,7 +21,8 @@ import numpy as np
 
 from .errors import NumericsError, ParameterError, check_real
 from .measure import MeasureSpec, check_order, moments_array
-from .numerics import quad_measure
+# bench/tracer.py wraps quad_measure under every module that imports it
+from .numerics import quad_measure  # noqa: F401
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -32,15 +31,11 @@ __all__ = [
     "cesaro_mu",
     "cesaro_mu_s",
     "kernel_series",
-    "integral_rep_eval",
-    "compose_mobius",
     "read_coefficients",
     "coefficients_text",
 ]
 
 DEFAULT_ORDER = 400
-# circle samples behind compose_mobius's DFT
-MOBIUS_SAMPLES = 4096
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -162,47 +157,6 @@ def kernel_series(mu: MeasureSpec, s: float, order: int = DEFAULT_ORDER) -> Powe
     order = check_order(order)
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite_series(gamma_ratio(np.arange(order + 1), s) * moments_array(mu, order))
-
-
-def integral_rep_eval(
-    f: PowerSeries,
-    mu: MeasureSpec,
-    s: float,
-    z: complex,
-) -> complex:
-    """Evaluate the transform via ``integral of f(tz) (1-tz)**-s d mu(t)``.
-
-    Agrees with ``cesaro_mu_s(f, mu, s).eval(z)`` up to truncation once
-    the transform order is large enough for the evaluation radius.
-    """
-    s = check_real("s", s, 0)
-    z = complex(z)
-    check_real("|z|", abs(z), 0, 1, closed=True)
-
-    def g(t: np.ndarray) -> np.ndarray:
-        tz = t * z
-        return _horner(f.coeffs, tz) * (1.0 - tz) ** (-s)
-
-    return complex(quad_measure(g, mu))
-
-
-def compose_mobius(f: PowerSeries, b: complex, order: int | None = None) -> PowerSeries:
-    """Taylor coefficients of ``f((b - z) / (1 - conj(b) z))``.
-
-    ``f`` is a polynomial, so the composition is analytic on a disk of
-    radius ``1/|b| > 1`` and its coefficients come cleanly off a DFT of
-    ``MOBIUS_SAMPLES`` samples on the unit circle.
-    """
-    b = complex(b)
-    check_real("|b|", abs(b), 0, 1, closed=True)
-    order = f.order if order is None else check_order(order)
-    if order >= MOBIUS_SAMPLES:
-        raise ParameterError(f"order must stay below {MOBIUS_SAMPLES}, got {order}")
-    w = np.exp(2j * np.pi * np.arange(MOBIUS_SAMPLES) / MOBIUS_SAMPLES)
-    points = (b - w) / (1.0 - np.conj(b) * w)
-    vals = _horner(f.coeffs, points)
-    coeffs = np.fft.fft(vals) / MOBIUS_SAMPLES
-    return PowerSeries(coeffs[: order + 1])
 
 
 def read_coefficients(path: str | Path) -> PowerSeries:

@@ -26,8 +26,10 @@ from cesaro.harness import (
     run_qp_range,
 )
 from cesaro.measure import Atomic, Lebesgue, PowerDensity, moments_array
-from cesaro.series import PowerSeries, cesaro_mu, cesaro_mu_s, integral_rep_eval, kernel_series
-from cesaro.spaces import circle_kernel_check, coeff_decay_test, two_kernel_check
+from cesaro.series import PowerSeries, cesaro_mu, cesaro_mu_s, kernel_series
+from cesaro.spaces import coeff_decay_test
+
+from paper_checks import circle_kernel_check, integral_rep_eval, two_kernel_check
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

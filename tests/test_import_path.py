@@ -13,6 +13,7 @@ from cesaro import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+TESTS = ROOT / "tests"
 MEASURES = ROOT / "measures"
 
 PROBE = (
@@ -73,8 +74,8 @@ def test_openblas_threads_set_by_caller_win(threads):
 def test_kernel_checks_run_without_scipy():
     # sys.modules["scipy"] = None makes every scipy import fail
     (line,) = _fresh_run(
-        "import sys; sys.modules['scipy'] = None; "
-        "from cesaro.spaces import circle_kernel_check, two_kernel_check; "
+        f"import sys; sys.modules['scipy'] = None; sys.path.insert(0, {str(TESTS)!r}); "
+        "from paper_checks import circle_kernel_check, two_kernel_check; "
         "print(circle_kernel_check(0.75, 1.0).ratio, "
         "two_kernel_check(0.5, 0.25j, 1.0, 1.9, 1.9).ratio)"
     )
@@ -124,6 +125,81 @@ def test_both_launchers_freeze_the_import_heap_through_one_entry():
     code, printed_help, frozen = line.split()
     assert (code, printed_help) == ("0", "True")
     assert int(frozen) > 1000
+
+
+# what start-up can load: NumPy and every layer that imports it
+HEAVY = {"numpy", "measure", "numerics", "series", "carleson", "spaces", "harness", "corpus"}
+
+
+def _entry_run(argv: list[str], entry: str = "run()") -> tuple[int, int, set[str]]:
+    """Exit code, freeze count and loaded heavy modules of one call of ``cesaro.cli``'s
+    ``entry`` in a fresh process, with the collector off so no collection moves the count."""
+    (line,) = _fresh_run(
+        "import contextlib, gc, io, sys; gc.disable(); import cesaro.cli\n"
+        f"sys.argv = ['cesaro', *{argv!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = cesaro.cli.{entry}\n"
+        "print(code, gc.get_freeze_count(), *sorted(m.removeprefix('cesaro.') for m in sys.modules))"
+    )
+    code, frozen, *modules = line.split()
+    return int(code), int(frozen), HEAVY.intersection(modules)
+
+
+@pytest.fixture(scope="module")
+def coeffs_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("footprint") / "f.txt"
+    path.write_text("1.0 0.0\n0.5 0.0\n")
+    return str(path)
+
+
+LEBESGUE = str(MEASURES / "lebesgue.json")
+
+
+@pytest.mark.parametrize(
+    "argv, code, loads",
+    [
+        (["--help"], 0, set()),
+        (["transform", "--help"], 0, set()),
+        (["carleson", "--measure", LEBESGUE], 2, set()),
+        (["carleson", "--measure", LEBESGUE, "--s", "1", "--depth", "8"], 0,
+         {"numpy", "measure", "numerics", "carleson"}),
+        (["transform", "--measure", LEBESGUE, "--constant", "1"], 0,
+         {"numpy", "measure", "numerics", "series"}),
+        (["seminorm", "--space", "hinf", "--input", "{coeffs}"], 0,
+         {"numpy", "measure", "numerics", "series", "spaces"}),
+    ],
+    ids=["help", "transform-help", "usage-error", "carleson", "transform", "seminorm"],
+)
+def test_each_call_loads_only_its_command_layers(argv, code, loads, coeffs_file):
+    # --help and usage errors run no layer; carleson skips spaces, series and the
+    # harness, transform skips spaces and carleson, seminorm skips carleson
+    argv = [arg.replace("{coeffs}", coeffs_file) for arg in argv]
+    assert _entry_run(argv)[::2] == (code, loads)
+
+
+def test_serializer_refuses_a_non_record_without_loading_a_layer():
+    (line,) = _fresh_run(
+        "import sys, cesaro.cli\n"
+        "try:\n"
+        "    cesaro.cli._record_dict(object())\n"
+        "except TypeError:\n"
+        "    print(*sorted(m.removeprefix('cesaro.') for m in sys.modules))"
+    )
+    assert HEAVY.intersection(line.split()) == set()
+
+
+def test_a_command_freezes_its_layers_and_main_freezes_nothing():
+    # the entry freezes after binding the command's layers, so a transform call
+    # freezes NumPy's objects beyond what --help freezes; in-process main freezes none
+    (numpy_objects,) = _fresh_run(
+        "import gc; gc.disable(); import cesaro.cli; cesaro.cli._build_parser(); gc.freeze(); "
+        "before = gc.get_freeze_count(); import numpy; gc.freeze(); "
+        "print(gc.get_freeze_count() - before)"
+    )
+    transform = ["transform", "--measure", LEBESGUE, "--constant", "1"]
+    help_frozen = _entry_run(["--help"])[1]
+    assert _entry_run(transform)[1] - help_frozen >= int(numpy_objects)
+    assert _entry_run(transform, f"main({transform!r})")[:2] == (0, 0)
 
 
 def _peak_rss_mb(argv: list[str]) -> float:

@@ -16,7 +16,10 @@ from cesaro.cli import main
 from cesaro.corpus import blaschke_factor
 from cesaro.errors import ParameterError, check_real
 from cesaro.measure import Atomic, Lebesgue, PowerDensity, tail_mass
-from cesaro.series import PowerSeries, compose_mobius, gamma_ratio, integral_rep_eval
+from cesaro.numerics import quad_measure
+from cesaro.series import PowerSeries, gamma_ratio
+
+from paper_checks import circle_kernel_check, compose_mobius, integral_rep_eval, two_kernel_check
 
 F = PowerSeries(np.asarray([0.0, 1.0, 0.5]))
 
@@ -29,15 +32,20 @@ CASES = {
     "Mp.p": ("p", lambda x: spaces.Mp(F, 0.5, x), 0.5),
     "qp_seminorm.p": ("p", lambda x: spaces.qp_seminorm(F, x), 0.0),
     "lambda_norm.p": ("p", lambda x: spaces.lambda_norm(F, x), 1.0),
-    "circle_kernel_check.z": ("|z|", lambda x: spaces.circle_kernel_check(x, 0.5), 1.0),
-    "circle_kernel_check.beta": ("beta", lambda x: spaces.circle_kernel_check(0.5, x), -1.0),
-    "two_kernel_check.a": ("|a|", lambda x: spaces.two_kernel_check(x, 0.3, 0.0, 1.5, 1.5), 1.0),
-    "two_kernel_check.b": ("|b|", lambda x: spaces.two_kernel_check(0.5, x, 0.0, 1.5, 1.5), 1.0),
-    "two_kernel_check.s": ("s", lambda x: spaces.two_kernel_check(0.5, 0.3, x, 1.5, 1.5), -1.0),
-    "two_kernel_check.t": ("t", lambda x: spaces.two_kernel_check(0.5, 0.3, 0.0, 1.5, x), 2.0),
+    "circle_kernel_check.z": ("|z|", lambda x: circle_kernel_check(x, 0.5), 1.0),
+    "circle_kernel_check.beta": ("beta", lambda x: circle_kernel_check(0.5, x), -1.0),
+    "two_kernel_check.a": ("|a|", lambda x: two_kernel_check(x, 0.3, 0.0, 1.5, 1.5), 1.0),
+    "two_kernel_check.b": ("|b|", lambda x: two_kernel_check(0.5, x, 0.0, 1.5, 1.5), 1.0),
+    "two_kernel_check.s": ("s", lambda x: two_kernel_check(0.5, 0.3, x, 1.5, 1.5), -1.0),
+    "two_kernel_check.t": ("t", lambda x: two_kernel_check(0.5, 0.3, 0.0, 1.5, x), 2.0),
     # r may sit on either side of 2 + s, but not on it
-    "two_kernel_check.r": ("r", lambda x: spaces.two_kernel_check(0.5, 0.3, 0.0, x, 1.5), 2.0),
+    "two_kernel_check.r": ("r", lambda x: two_kernel_check(0.5, 0.3, 0.0, x, 1.5), 2.0),
     "gamma_ratio.s": ("s", lambda x: gamma_ratio(np.arange(3), x), 0.0),
+    # every finite exponent is allowed (a divergent integral is exit 3), so no finite
+    # end is excluded and the end row repeats NaN
+    "quad_measure.singular_exponent": (
+        "singular_exponent", lambda x: quad_measure(np.ones_like, Lebesgue(), singular_exponent=x),
+        math.nan),
     "integral_rep_eval.s": ("s", lambda x: integral_rep_eval(F, Lebesgue(), x, 0.5), 0.0),
     "integral_rep_eval.z": ("|z|", lambda x: integral_rep_eval(F, Lebesgue(), 1.0, x), 1.0),
     "compose_mobius.b": ("|b|", lambda x: compose_mobius(F, x), 1.0),
@@ -63,7 +71,7 @@ def test_out_of_range_argument_is_refused(case, x):
 def test_two_kernel_check_needs_a_positive_gap():
     # each exponent in range, but r + t - s - 2 = 0 leaves no bound to compare with
     with pytest.raises(ParameterError, match=r"^r \+ t - s - 2 must lie in \(0, inf\), got 0\.0$"):
-        spaces.two_kernel_check(0.5, 0.3, 0.5, 1.0, 1.5)
+        two_kernel_check(0.5, 0.3, 0.5, 1.0, 1.5)
 
 
 def test_check_real_interval_ends():

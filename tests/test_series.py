@@ -15,14 +15,13 @@ from cesaro.series import (
     cesaro_mu,
     cesaro_mu_s,
     coefficients_text,
-    compose_mobius,
     gamma_ratio,
-    integral_rep_eval,
     kernel_series,
     read_coefficients,
 )
 
 from conftest import bounded_coefficient_arrays
+from paper_checks import compose_mobius, integral_rep_eval
 
 
 class TestPowerSeries:

@@ -13,17 +13,18 @@ from cesaro.cli import _record_dict
 from cesaro.corpus import blaschke_factor, bounded_test_functions, dyadic_atoms
 from cesaro.errors import NumericsError, ParameterError
 from cesaro.measure import Lebesgue
-from cesaro.series import PowerSeries, cesaro_mu, compose_mobius, gamma_ratio, kernel_series
+from cesaro.series import PowerSeries, cesaro_mu, gamma_ratio, kernel_series
 from cesaro.spaces import (
     Mp,
     bloch_seminorm,
-    circle_kernel_check,
     coeff_decay_test,
     hinf_norm,
     lambda_norm,
     qp_seminorm,
-    two_kernel_check,
 )
+
+import paper_checks
+from paper_checks import circle_kernel_check, compose_mobius, two_kernel_check
 
 
 @pytest.fixture(scope="module")
@@ -451,7 +452,7 @@ class TestCircleKernel:
         assert circle_kernel_check(0.0, 0.5).computed == 1.0
 
     def test_uncertified_tail_is_refused(self, monkeypatch):
-        monkeypatch.setattr(spaces, "CIRCLE_MAX_TERMS", 256)
+        monkeypatch.setattr(paper_checks, "CIRCLE_MAX_TERMS", 256)
         with pytest.raises(NumericsError, match="tail not certified within 256 terms"):
             circle_kernel_check(1.0 - 2.0 ** -8, 1.0)
 
@@ -547,6 +548,6 @@ class TestTwoKernel:
             assert two_kernel_check(a, b, 1.0, r, t).computed == pytest.approx(want, rel=1e-12), a
 
     def test_uncertified_tail_is_refused(self, monkeypatch):
-        monkeypatch.setattr(spaces, "DISK_MAX_TERMS", 256)
+        monkeypatch.setattr(paper_checks, "DISK_MAX_TERMS", 256)
         with pytest.raises(NumericsError, match="tail not certified within 256 terms"):
             two_kernel_check(1.0 - 2.0 ** -8, 0.5, 1.0, 1.9, 1.9)

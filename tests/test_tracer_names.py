@@ -26,10 +26,22 @@ ROOT = Path(__file__).resolve().parents[1]
              "numerics.quad_measure"],
         ),
         (["verify", "--scenario", "divergent-integral"], ["numerics.quad_measure"]),
+        # ``cli`` binds these layer names per call; the tracer must still reach them
+        (
+            ["transform", "--measure", str(ROOT / "measures" / "lebesgue.json"),
+             "--input", "{tmp}/f.txt"],
+            ["measure.load_measure", "series.read_coefficients", "series.cesaro_mu_s"],
+        ),
+        (
+            ["seminorm", "--space", "hinf", "--input", "{tmp}/f.txt"],
+            ["series.read_coefficients", "spaces.hinf_norm"],
+        ),
     ],
-    ids=["carleson", "divergent-integral"],
+    ids=["carleson", "divergent-integral", "transform", "seminorm-hinf"],
 )
 def test_traced_call_reaches_wrapped_functions(tmp_path, argv, spans):
+    (tmp_path / "f.txt").write_text("1.0 0.0\n0.5 0.0\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     out = tmp_path / "spans.json"
     run = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "tracer.py"), str(out), *argv],
