@@ -26,6 +26,7 @@ shows up in the trace.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import NumericsError, ParameterError, check_real
@@ -72,12 +73,12 @@ EXPONENT_BUDGET = 900
 
 
 def _check_args(s: float, depth: int, t: float | None = None) -> tuple[float, float | None]:
-    """``(s, t)`` as floats, if positive, with ``depth`` in ``DEPTH_RANGE`` and
-    the exponent ``s`` (``s + t``) within ``EXPONENT_BUDGET`` to that level."""
+    """``(s, t)`` as floats, if positive, with ``depth`` an integer in ``DEPTH_RANGE``
+    and the exponent ``s`` (``s + t``) within ``EXPONENT_BUDGET`` to that level."""
     s = check_real("s", s, 0)
     lo, hi = DEPTH_RANGE
-    if not lo <= depth <= hi:
-        raise ParameterError(f"probe depth must lie in [{lo}, {hi}], got {depth!r}")
+    if not (isinstance(depth, numbers.Integral) and lo <= depth <= hi):
+        raise ParameterError(f"probe depth must be an integer in [{lo}, {hi}], got {depth!r}")
     exponent = s
     if t is not None:
         t = check_real("t", t, 0)

@@ -245,11 +245,19 @@ def test_criterion_10_determinism(acceptance, tmp_path):
         for run in runs:
             run.kill()
     identical = a.read_bytes() == b.read_bytes()
-    passed_flag = json.loads(a.read_text())["pass"]
+    payload = json.loads(a.read_text())
+    passed_flag = payload["pass"]
+    # each scenario's smallest band margin, "-" where it has only equality checks
+    margins = []
+    for report in payload["reports"]:
+        banded = [c["margin"] for c in report["checks"] if c["margin"] is not None]
+        margins.append(f"{report['scenario']} {min(banded):.3f}" if banded
+                       else f"{report['scenario']} -")
     ok = code_a == 0 and code_b == 0 and identical and passed_flag
     acceptance(
         10,
         "repeated full verification is byte-identical",
         ok,
-        f"exit codes {code_a}/{code_b}, identical: {identical}, all scenarios pass: {passed_flag}",
+        f"exit codes {code_a}/{code_b}, identical: {identical}, all scenarios pass: {passed_flag}, "
+        f"smallest band margins: {', '.join(margins)}",
     )

@@ -133,11 +133,12 @@ class TestIntegralTests:
             integral_test_real(Lebesgue(), 1.0, t=0.0)
 
     @pytest.mark.parametrize("test", [box_test, integral_test_real, integral_test_complex,
-                                      disk_kernel_test])
-    @pytest.mark.parametrize("depth", [3, 53, 60])
+                                      disk_kernel_test, is_s_carleson])
+    @pytest.mark.parametrize("depth", [3, 53, 60, 10.0, 10.5])
     def test_depth_outside_range_is_refused(self, test, depth):
         # past 53 levels the probe 1 - 2**-j rounds to 1.0 and a kernel
-        # sample would be 0 * inf = nan, which the growth fit skips
+        # sample would be 0 * inf = nan, which the growth fit skips; a float
+        # depth, even a whole one, is refused before range() sees it
         with pytest.raises(ParameterError, match="probe depth"):
             test(Lebesgue(), 1.0, depth=depth)
 

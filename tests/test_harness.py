@@ -8,6 +8,7 @@ from cesaro.cli import _record_dict, main
 from cesaro.errors import ParameterError
 from cesaro.measure import Lebesgue, load_measure, moments_array
 from cesaro.series import PowerSeries, cesaro_mu, coefficients_text
+from cesaro.spaces import MP_MAX_ANGLES
 from cesaro.harness import (
     DIVERGENT_R_VALUES,
     DIVERGENT_S,
@@ -37,6 +38,8 @@ def _assert_round_trips(rep: ScenarioReport) -> None:
         assert (check["name"], check["pass"]) == (record.name, record.passed)
         assert check["expected"] == record.expected
         assert check["observed"] == record.observed
+        assert check["band"] == (None if record.band is None else list(record.band))
+        assert check["margin"] == record.margin
     assert len(payload["traces"]) == len(rep.traces)
     for trace, record in zip(payload["traces"], rep.traces):
         assert trace["name"] == record.name
@@ -51,8 +54,9 @@ class TestReportTypes:
             claim="checks a closed-form identity",
             inputs={"order": 400},
             checks=(
-                CheckRecord("first", expected=1.0, observed=1.0, passed=True),
-                CheckRecord("second", expected="bounded", observed="bounded", passed=True),
+                CheckRecord("first", expected=1.0, observed=1.0),
+                CheckRecord("second", expected="bounded", observed="bounded"),
+                CheckRecord("third", expected=[0.4, 0.6], observed=[0.5, 0.55], band=(0.4, 0.6)),
             ),
             traces=(TraceRecord("t", levels=(1, 2), values=(0.5, 0.25)),),
         )
@@ -66,14 +70,48 @@ class TestReportTypes:
         ids=["nan", "int-key", "tuple-input", "tuple-observed"],
     )
     def test_round_trip_catches_non_json_values(self, inputs, observed):
-        rep = ScenarioReport("x", "claim", inputs, (CheckRecord("c", observed, observed, True),))
+        rep = ScenarioReport("x", "claim", inputs, (CheckRecord("c", observed, observed),))
         with pytest.raises((AssertionError, ValueError)):
             _assert_round_trips(rep)
 
     def test_serializes_to_json(self):
         payload = json.loads(json.dumps(self._sample_report(), default=_record_dict))
         assert payload["pass"] is True
-        assert [c["name"] for c in payload["checks"]] == ["first", "second"]
+        assert [c["name"] for c in payload["checks"]] == ["first", "second", "third"]
+
+
+@pytest.mark.parametrize(
+    "expected, observed, band, passed, margin",
+    [
+        (math.nan, math.nan, None, False, None),
+        (0.5, math.nan, (0.0, 1.0), False, None),
+        (0.5, math.inf, (0.0, 1.0), False, None),
+        (0.5, -math.inf, (0.0, 1.0), False, None),
+        (0.5, 0.0, (0.0, 1.0), True, 0.0),
+        (0.5, 1.0, (0.0, 1.0), True, 0.0),
+        (0.5, 0.5, (0.0, 1.0), True, 1.0),
+        (0.0, 2e-12, (-1e-12, 1e-12), False, -1.0),
+        ([0.0, 1.0], [0.25, 0.5], (0.0, 1.0), True, 0.5),
+        ([0.0, 1.0], [0.5, 1.5, 0.5], (0.0, 1.0), False, -1.0),
+        ([0.0, 1.0], [0.5, math.nan], (0.0, 1.0), False, None),
+        (1.0, 1.0, None, True, None),
+        (0.5, "0.5", None, False, None),
+        ([True, True], [True, True], None, True, None),
+        ([True, True], [True, False], None, False, None),
+        ("bounded", "bounded", None, True, None),
+        ("divergent", "bounded", None, False, None),
+        (True, True, None, True, None),
+        (False, True, None, False, None),
+    ],
+    ids=["nan-equal", "nan-band", "inf", "minus-inf", "low-end", "high-end", "centre",
+         "outside", "list", "list-outlier", "list-nan", "equal", "str-vs-float", "bools",
+         "bools-differ", "str", "str-differ", "bool", "bool-differ"],
+)
+def test_one_pass_rule(expected, observed, band, passed, margin):
+    check = CheckRecord("c", expected, observed, band)
+    assert check.passed is passed
+    assert check.margin == (None if margin is None else pytest.approx(margin, abs=1e-12))
+    json.dumps(check.margin, allow_nan=False)  # a margin never makes the JSON invalid
 
 
 class TestScenarioRegistry:
@@ -250,6 +288,16 @@ class TestCli:
         assert code == 0
         assert payload["value"] == pytest.approx(0.5)
         assert payload["trace"] == [payload["value"]]
+
+    def test_seminorm_hinf_past_the_angle_cap_exits_three(self, tmp_path, capsys):
+        # a degree past MP_MAX_ANGLES / 16 gets no 16 angles per degree: unsettled
+        coeff = tmp_path / "f.txt"
+        coeff.write_text("1 0\n" * (MP_MAX_ANGLES // 16 + 2))
+        code = main(["seminorm", "--space", "hinf", "--input", str(coeff)])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert payload["converged"] is False
+        assert payload["value"] == pytest.approx(MP_MAX_ANGLES // 16 + 2, rel=1e-12)
 
     def test_seminorm_qp_requires_p(self, tmp_path, capsys):
         coeff = tmp_path / "f.txt"

@@ -116,7 +116,7 @@ def test_consensus_of_mixed_reports_is_disagreement():
 
 
 def test_scenario_report_fails_with_any_check():
-    checks = [CheckRecord("ok", 1, 1, True), CheckRecord("bad", 1, 2, False)]
+    checks = [CheckRecord("ok", 1, 1), CheckRecord("bad", 1, 2)]
     assert not ScenarioReport("x", "claim", {}, checks).passed
     assert ScenarioReport("x", "claim", {}, checks[:1]).passed
 
@@ -130,8 +130,11 @@ def test_scenario_report_fails_with_any_check():
         lambda: SeminormEstimate((1.0,), True, levels=(0,)),
         lambda: CarlesonVerdict(1.0, {}, {}, consensus=CARLESON),
         lambda: ScenarioReport("x", "claim", {}, (), passed=True),
+        lambda: CheckRecord("c", 1.0, 1.0, passed=True),
+        lambda: CheckRecord("c", 1.0, 1.0, (0.0, 2.0), margin=1.0),
     ],
-    ids=["exponent", "verdict", "value", "levels", "consensus", "passed"],
+    ids=["exponent", "verdict", "value", "levels", "consensus", "passed", "check-passed",
+         "check-margin"],
 )
 def test_derived_fields_are_not_arguments(build):
     with pytest.raises(TypeError):

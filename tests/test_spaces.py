@@ -13,7 +13,7 @@ from cesaro.cli import _record_dict
 from cesaro.corpus import blaschke_factor, bounded_test_functions, dyadic_atoms
 from cesaro.errors import NumericsError, ParameterError
 from cesaro.measure import Lebesgue
-from cesaro.series import PowerSeries, cesaro_mu, gamma_ratio, kernel_series
+from cesaro.series import PowerSeries, _horner, cesaro_mu, gamma_ratio, kernel_series
 from cesaro.spaces import (
     Mp,
     bloch_seminorm,
@@ -357,22 +357,24 @@ class TestCircleSamples:
     def test_matches_horner(self, size, m):
         rng = np.random.default_rng(size)
         f = PowerSeries(rng.normal(size=size) + 1j * rng.normal(size=size))
-        for r in [1.0 - 2.0 ** -j for j in range(0, 13, 2)] + [spaces.HINF_RADIUS]:
+        # the unit circle is test_long_series_against_mpmath's: there Horner at
+        # the rounded points is off by about 1e-12 once the series is long
+        for r in [1.0 - 2.0 ** -j for j in range(0, 13, 2)]:
             got, want = spaces._circle_samples(f.coeffs, r, m), f.eval(_circle(r, m))
             # relative to the largest sample: near a zero Horner's own error dominates
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), r
 
     def test_long_series_against_mpmath(self):
-        # past a few thousand terms near |z| = 1, Horner at the rounded points
+        # past a few thousand terms on |z| = 1, Horner at the rounded points
         # is itself off by about 1e-12, so check a long series against mpmath
         rng = np.random.default_rng(9)
         c = rng.normal(size=10000) + 1j * rng.normal(size=10000)
         m = spaces.HINF_ANGLES
-        got = spaces._circle_samples(c, spaces.HINF_RADIUS, m)
+        got = spaces._circle_samples(c, 1.0, m)
         mp.mp.dps = 30
         coeffs = [mp.mpc(x) for x in c[::-1]]
         for k in (0, 777, 2048, 4095):
-            z = mp.mpf(spaces.HINF_RADIUS) * mp.expjpi(mp.mpf(2 * k) / m)
+            z = mp.expjpi(mp.mpf(2 * k) / m)
             want = complex(mp.polyval(coeffs, z))
             assert abs(got[k] - want) <= 1e-12 * np.max(np.abs(got)), k
 
@@ -387,7 +389,10 @@ class TestCircleSamples:
                 for r in [0.0] + [1.0 - 2.0 ** -j for j in range(1, spaces.BLOCH_DEPTH + 1)]
             ]
             np.testing.assert_allclose(bloch_seminorm(g).trace, want, rtol=1e-12)
-            hinf = np.max(np.abs(g.eval(_circle(spaces.HINF_RADIUS, spaces.HINF_ANGLES))))
+        for g in inputs:
+            # 16 angles per degree, rounded up to a power of two: 8192 on |z| = 1,
+            # which PowerSeries.eval refuses, so Horner is called directly
+            hinf = np.max(np.abs(_horner(g.coeffs, _circle(1.0, 8192))))
             assert hinf_norm(g).value == pytest.approx(hinf, rel=1e-12)
 
     def test_long_series_costs_one_fold_per_circle(self):
@@ -402,8 +407,8 @@ class TestCircleSamples:
 
 class TestHinf:
     def test_bounded_corpus_near_one(self):
-        # all four reference functions have sup norm exactly 1; the
-        # interior circle surrogate must land within 1e-3
+        # all four reference functions have sup norm exactly 1, attained on |z| = 1
+        # up to the truncation of the two Blaschke series
         for name, f in bounded_test_functions():
             assert hinf_norm(f).value == pytest.approx(1.0, abs=1e-3), name
 
@@ -413,7 +418,45 @@ class TestHinf:
 
     def test_scales_linearly(self):
         f = PowerSeries(np.asarray([0.0, 2.0]))
-        assert hinf_norm(f).value == pytest.approx(2.0 * (1.0 - 2.0 ** -12), rel=1e-12)
+        assert hinf_norm(f).value == pytest.approx(2.0, rel=1e-12)
+
+    def test_positive_coefficients_reach_their_sum(self):
+        # every coefficient 1/(n+1) is positive, so the supremum is sum b_n at z = 1
+        g = cesaro_mu(PowerSeries.constant(1.0), Lebesgue(), 1 << 12)
+        est = hinf_norm(g)
+        assert est.value == pytest.approx(math.fsum(np.abs(g.coeffs)), rel=1e-12)
+        assert est.converged
+        assert est.notes == ("65536 angles on |z| = 1; supremum at most 1.009748 times the "
+                             "largest sample",)
+
+    @pytest.mark.parametrize("degree", [400, 512])
+    def test_maximum_between_samples_is_within_the_stated_factor(self, degree):
+        # the Dirichlet polynomial sum (e^{i phi} z)^n peaks at degree + 1 where
+        # z = e^{-i phi}; a half grid step puts that peak midway between two samples
+        m = 8192
+        phi = math.pi / m
+        est = hinf_norm(PowerSeries(np.exp(1j * phi * np.arange(degree + 1))))
+        factor = 1.0 / math.sqrt(math.cos(math.pi * degree / m))
+        assert est.notes[0] == f"{m} angles on |z| = 1; supremum at most {factor:.6f} times " \
+                               "the largest sample"
+        assert est.value <= (degree + 1) * (1.0 + 1e-12)
+        assert est.value * factor >= degree + 1
+        assert est.value < (degree + 1) * (1.0 - 1e-4)  # the peak is missed, not sampled
+        assert est.converged
+
+    @pytest.mark.parametrize("degree, factor", [(spaces.MP_MAX_ANGLES // 16 + 1, "1.009748"),
+                                                (spaces.MP_MAX_ANGLES // 2 + 1, "inf")])
+    def test_past_the_angle_cap_is_unsettled(self, degree, factor):
+        # 16 angles per degree would need more than MP_MAX_ANGLES; from half the
+        # cap on, sec(pi deg / m) has no finite bound left to state
+        est = hinf_norm(PowerSeries(np.ones(degree + 1)))
+        assert est.value == pytest.approx(degree + 1.0, rel=1e-12)
+        assert not est.converged
+        assert est.notes == (
+            f"{spaces.MP_MAX_ANGLES} angles on |z| = 1; supremum at most {factor} times the "
+            "largest sample",
+            f"degree {degree} needs {16 * degree} angles, past the cap {spaces.MP_MAX_ANGLES}",
+        )
 
 
 class TestCircleKernel:
