@@ -28,9 +28,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from operator import truediv
 
 from .errors import NumericsError, ParameterError, check_real
-from .measure import MeasureSpec, tail_mass, total_mass, moments_array
+from .measure import Atomic, Lebesgue, MeasureSpec, Mixture, PowerDensity, tail_mass, total_mass
+# bench/tracer.py wraps moments_array under every module that imports it
+from .measure import moments_array  # noqa: F401
 from .numerics import (
     GrowthReport,
     classify_growth,
@@ -60,8 +63,8 @@ NOT_CARLESON = "not_carleson"
 DISAGREEMENT = "disagreement"
 
 # below 4 levels there is nothing to classify; past 52 the probes
-# 1 - 2**-j reach the last float64 steps below 1, and 52 keeps every
-# probe at least 8 quadrature panels inside the graded grid
+# 1 - 2**-j reach the last float64 steps below 1, and the quadrature
+# grid reaches 2**-100, far past the deepest probe
 DEPTH_RANGE = (4, 52)
 
 # moment_test samples n = 2**j for j = 0 .. MOMENT_TOP
@@ -92,12 +95,16 @@ def _check_args(s: float, depth: int, t: float | None = None) -> tuple[float, fl
 def kernel_integral(mu: MeasureSpec, a: float, power: float, r: float) -> float:
     """``integral (1-x)**-r (1-a x)**-power d mu(x)`` at a real probe ``0 <= a < 1``.
 
+    The kernel is formed as ``(1-a) + a u`` in ``u = 1 - x``: ``1 - a`` is
+    exact at the dyadic probes, so deep probes lose nothing to cancellation.
     A sample whose integral ``quad_measure`` refuses (a non-integrable
     endpoint exponent, or overflow) is ``+inf``, which is how a divergent
     criterion integral shows up in a trace.
     """
+    gap, q = 1.0 - a, -power
     try:
-        return float(quad_measure(lambda x: (1.0 - a * x) ** (-power), mu, singular_exponent=r))
+        return float(quad_measure(lambda us: [(gap + a * u) ** q for u in us], mu,
+                                  singular_exponent=r))
     except NumericsError:
         return math.inf
 
@@ -120,6 +127,27 @@ def box_test(mu: MeasureSpec, s: float, depth: int = 18) -> GrowthReport:
     return classify_growth(values, range(1, depth + 1))
 
 
+def _dyadic_moments(mu: MeasureSpec, top: int) -> list[float]:
+    """``mu_n`` at ``n = 2**j``, ``j = 0 .. top``, by the closed forms of
+    ``moments_array``, term for term in the same order."""
+    ns = [1 << j for j in range(top + 1)]
+    if isinstance(mu, Atomic):
+        return [sum(w * p ** n for p, w in zip(mu.points, mu.weights)) for n in ns]
+    if isinstance(mu, Lebesgue):
+        return [1.0 / (n + 1.0) for n in ns]
+    if isinstance(mu, PowerDensity):
+        # the running product mu_n = mu_{n-1} * n / (n + alpha + 1): a Gamma
+        # ratio by lgamma would cancel to 3e-11 at n = 2**14
+        shift, out = mu.alpha + 1.0, [mu.scale / (mu.alpha + 1.0)]
+        for n in ns:
+            steps = range(n // 2 + 1, n + 1)
+            out.append(math.prod(map(truediv, steps, map(shift.__radd__, steps)), start=out[-1]))
+        return out[1:]
+    if isinstance(mu, Mixture):
+        return [sum(col) for col in zip(*(_dyadic_moments(part, top) for part in mu.components))]
+    raise ParameterError(f"not a measure: {mu!r}")
+
+
 def moment_test(mu: MeasureSpec, s: float) -> GrowthReport:
     """Trace ``(1+n)**s * mu_n`` along ``n = 2**j``, ``j <= MOMENT_TOP``.
 
@@ -127,9 +155,9 @@ def moment_test(mu: MeasureSpec, s: float) -> GrowthReport:
     trace stays bounded exactly on the Carleson side.
     """
     s, _ = _check_args(s, MOMENT_TOP)
-    mus = moments_array(mu, 1 << MOMENT_TOP)
+    mus = _dyadic_moments(mu, MOMENT_TOP)
     levels = range(MOMENT_TOP + 1)
-    values = [(1.0 + (1 << j)) ** s * mus[1 << j] for j in levels]
+    values = [(1.0 + (1 << j)) ** s * m for j, m in zip(levels, mus)]
     return classify_growth(values, levels)
 
 

@@ -89,7 +89,10 @@ class CheckRecord:
     margin: float | None = field(init=False)
 
     def __post_init__(self):
-        passed, margin = self.observed == self.expected, None
+        obs, exp = self.observed, self.expected
+        # element by element: a list's == takes one NaN object as equal to itself
+        lists = type(obs) is type(exp) is list and len(obs) == len(exp)
+        passed, margin = all(o == e for o, e in zip(obs, exp)) if lists else obs == exp, None
         if self.band is not None:
             lo, hi = self.band
             values = self.observed if isinstance(self.observed, list) else [self.observed]

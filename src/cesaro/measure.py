@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from .errors import ParameterError, check_real
 
 __all__ = [
@@ -104,14 +102,17 @@ MAX_ORDER = 1 << 20
 
 
 def check_order(n: int) -> int:
-    """``n`` as an int, if it is an integer in ``[0, MAX_ORDER]``."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 0 <= n <= MAX_ORDER:
+    """``n`` as an int, if it is an integer in ``[0, MAX_ORDER]``: an int or a
+    NumPy integer (anything with ``__index__``), not a bool."""
+    k = n.__index__() if hasattr(n, "__index__") and not isinstance(n, bool) else -1
+    if not 0 <= k <= MAX_ORDER:
         raise ParameterError(f"order must be an integer in [0, {MAX_ORDER}], got {n!r}")
-    return int(n)
+    return k
 
 
-def moments_array(mu: MeasureSpec, order: int) -> np.ndarray:
-    """Moments ``mu_0 .. mu_order`` as a float array, by closed form."""
+def moments_array(mu: MeasureSpec, order: int):
+    """Moments ``mu_0 .. mu_order`` as a NumPy float array, by closed form."""
+    import numpy as np  # only the moment tables need it; the battery runs without
     order = check_order(order)
     n = np.arange(order + 1, dtype=float)
     if isinstance(mu, Atomic):

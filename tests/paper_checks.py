@@ -156,9 +156,9 @@ def integral_rep_eval(
     z = complex(z)
     check_real("|z|", abs(z), 0, 1, closed=True)
 
-    def g(t: np.ndarray) -> np.ndarray:
-        tz = t * z
-        return _horner(f.coeffs, tz) * (1.0 - tz) ** (-s)
+    def g(u) -> list[complex]:
+        tz = (1.0 - np.asarray(u)) * z
+        return (_horner(f.coeffs, tz) * (1.0 - tz) ** (-s)).tolist()
 
     return complex(quad_measure(g, mu))
 

@@ -1,16 +1,17 @@
 import json
 import math
+from pathlib import Path
 
 import mpmath as mp
-import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from cesaro import numerics
 from cesaro.carleson import (
     CARLESON,
     EXPONENT_BUDGET,
+    MOMENT_TOP,
     NOT_CARLESON,
     box_test,
     disk_kernel_test,
@@ -20,11 +21,15 @@ from cesaro.carleson import (
     kernel_integral,
     moment_test,
 )
-from cesaro.cli import _record_dict
+from cesaro.cli import _record_dict, main
 from cesaro.corpus import labeled_corpus
 from cesaro.errors import ParameterError
-from cesaro.measure import Atomic, Lebesgue, PowerDensity
+from cesaro.measure import Atomic, Lebesgue, PowerDensity, load_measure, moments_array
 from cesaro.numerics import quad_measure
+
+from conftest import any_measures
+
+MEASURES = Path(__file__).resolve().parents[1] / "measures"
 
 
 class TestBoxTest:
@@ -75,6 +80,18 @@ class TestMomentTest:
     def test_levels_are_dyadic_indices(self):
         rep = moment_test(Lebesgue(), 1.0)
         assert rep.levels == tuple(range(15))
+
+    @given(any_measures(), st.floats(0.25, 3.0))
+    @example(load_measure(MEASURES / "power_density_half.json"), 0.5)
+    @example(load_measure(MEASURES / "dyadic_atoms.json"), 1.0)
+    @example(load_measure(MEASURES / "lebesgue.json"), 1.0)
+    def test_trace_is_the_moment_table(self, mu, s):
+        # the scalar closed forms read the same values moments_array tabulates
+        mus = moments_array(mu, 1 << MOMENT_TOP)
+        rep = moment_test(mu, s)
+        for j, value in zip(rep.levels, rep.values):
+            want = (1.0 + (1 << j)) ** s * mus[1 << j]
+            assert math.isclose(value, want, rel_tol=1e-13, abs_tol=0.0), j
 
 
 class TestExponentBudget:
@@ -186,6 +203,31 @@ class TestConsensus:
         assert "box" in payload["reports"]
 
 
+class TestOverflowGuards:
+    """Samples that leave float range read as ``+inf``, never as a traceback."""
+
+    def _run(self, tmp_path, capsys, measure: dict, *flags: str) -> tuple[int, dict]:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(measure), encoding="utf-8")
+        code = main(["carleson", "--measure", str(path), *flags])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.err.count("\n") <= 1
+        return code, json.loads(captured.out)
+
+    def test_atom_at_the_last_float_below_one(self, tmp_path, capsys):
+        # (1-x)**-44 at x = 1 - 2**-52 is 2**2288: every real-kernel sample is +inf
+        atoms = {"type": "atomic", "points": [0.5, 1.0 - 2.0 ** -52], "weights": [1.0, 1.0]}
+        code, out = self._run(tmp_path, capsys, atoms, "--s", "45", "--r", "44")
+        assert code == 0 and out["consensus"] == NOT_CARLESON
+        assert all(math.isinf(v) for v in out["reports"]["integral_real"]["values"])
+
+    def test_large_mass_still_disagrees(self, tmp_path, capsys):
+        # ROADMAP item 5: the kernel traces of a mass near 1e290 overflow to +inf
+        big = {"type": "power_density", "alpha": 0, "scale": 1e290}
+        code, out = self._run(tmp_path, capsys, big, "--s", "1", "--t", "10")
+        assert code == 3 and out["consensus"] == "disagreement"
+
+
 class TestRealProbeReduction:
     """The kernel criteria probe each dyadic circle only at its real point.
 
@@ -208,13 +250,15 @@ class TestRealProbeReduction:
 
     @pytest.mark.parametrize("beta", [-0.999, -0.5, 0.0, 3.0, 15.0])
     def test_quadrature_weights_are_positive(self, beta):
-        panel_u, panel_w = numerics._panel_rule()
-        assert np.all(panel_w > 0.0)
-        assert np.all(panel_u > 0.0)
-        # the closed-form end panel is the only evaluation at a single node
-        end = quad_measure(lambda t: np.ones_like(t) * (t.size == 1), PowerDensity(beta))
-        assert end == (0.5 ** numerics.PANELS) ** (beta + 1.0) / (beta + 1.0)
-        assert end > 0.0
+        nodes, weights = numerics._panel_rule()
+        assert all(w > 0.0 for w in weights)
+        assert all(u > 0.0 for u in nodes)
+        # the closed-form end panel is the only evaluation at a single node; a zero
+        # weight keeps the order too, and at beta = 15 the exact 2**-1600 / 16
+        # underflows to 0.0
+        end = quad_measure(lambda us: [float(len(us) == 1)] * len(us), PowerDensity(beta))
+        assert end == numerics.EDGE ** (beta + 1.0) / (beta + 1.0)
+        assert end >= 0.0
 
     @pytest.mark.parametrize("t", [1.0, 2.5])
     @pytest.mark.parametrize("entry", labeled_corpus(), ids=lambda e: e.name)
@@ -229,21 +273,14 @@ class TestRealProbeReduction:
 
 
 class TestKernelIntegral:
-    _DEEP = pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 2: 1 - a*x cancels at deep probes "
-        "(relative error 1.5e-6 at j = 40, 0.14 at j = 52)",
-    )
-
-    @pytest.mark.parametrize(
-        "j", [1, 10, 18, pytest.param(40, marks=_DEEP), pytest.param(52, marks=_DEEP)]
-    )
+    @pytest.mark.parametrize("j", range(1, 53))
     def test_matches_beta_hypergeometric(self, j):
-        # integral (1-x)**-1/2 (1-a x)**-3 dx = B(1, 1/2) 2F1(3, 1; 3/2; a)
+        # integral (1-x)**-1/2 (1-a x)**-3 dx = B(1, 1/2) 2F1(3, 1; 3/2; a), at every
+        # depth --depth accepts: 1 - a x = (1-a) + a u keeps deep probes exact
         a = 1.0 - 2.0 ** -j
         with mp.workdps(40):
             ref = float(mp.beta(1, 0.5) * mp.hyp2f1(3, 1, 1.5, mp.mpf(a)))
-        assert math.isclose(kernel_integral(PowerDensity(-0.5), a, 3.0, 0.0), ref, rel_tol=1e-10)
+        assert math.isclose(kernel_integral(PowerDensity(-0.5), a, 3.0, 0.0), ref, rel_tol=1e-12)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5])
     def test_infinite_exactly_when_endpoint_not_integrable(self, alpha):

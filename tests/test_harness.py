@@ -80,6 +80,10 @@ class TestReportTypes:
         assert [c["name"] for c in payload["checks"]] == ["first", "second", "third"]
 
 
+# one NaN object on both sides: Python's list == takes it as equal to itself
+_NAN = float("nan")
+
+
 @pytest.mark.parametrize(
     "expected, observed, band, passed, margin",
     [
@@ -102,10 +106,14 @@ class TestReportTypes:
         ("divergent", "bounded", None, False, None),
         (True, True, None, True, None),
         (False, True, None, False, None),
+        (_NAN, _NAN, None, False, None),
+        ([_NAN], [_NAN], None, False, None),
+        ([_NAN], [float("nan")], None, False, None),
     ],
     ids=["nan-equal", "nan-band", "inf", "minus-inf", "low-end", "high-end", "centre",
          "outside", "list", "list-outlier", "list-nan", "equal", "str-vs-float", "bools",
-         "bools-differ", "str", "str-differ", "bool", "bool-differ"],
+         "bools-differ", "str", "str-differ", "bool", "bool-differ", "same-nan",
+         "same-nan-in-lists", "nan-in-lists"],
 )
 def test_one_pass_rule(expected, observed, band, passed, margin):
     check = CheckRecord("c", expected, observed, band)

@@ -1,6 +1,7 @@
 """Fresh ``cesaro`` processes: what start-up loads and freezes, what a call
 can run without, the process entry, and what a call holds in memory."""
 
+import ast
 import os
 import re
 import subprocess
@@ -162,7 +163,7 @@ LEBESGUE = str(MEASURES / "lebesgue.json")
         (["transform", "--help"], 0, set()),
         (["carleson", "--measure", LEBESGUE], 2, set()),
         (["carleson", "--measure", LEBESGUE, "--s", "1", "--depth", "8"], 0,
-         {"numpy", "measure", "numerics", "carleson"}),
+         {"measure", "numerics", "carleson"}),
         (["transform", "--measure", LEBESGUE, "--constant", "1"], 0,
          {"numpy", "measure", "numerics", "series"}),
         (["seminorm", "--space", "hinf", "--input", "{coeffs}"], 0,
@@ -171,10 +172,35 @@ LEBESGUE = str(MEASURES / "lebesgue.json")
     ids=["help", "transform-help", "usage-error", "carleson", "transform", "seminorm"],
 )
 def test_each_call_loads_only_its_command_layers(argv, code, loads, coeffs_file):
-    # --help and usage errors run no layer; carleson skips spaces, series and the
-    # harness, transform skips spaces and carleson, seminorm skips carleson
+    # --help and usage errors run no layer; carleson skips NumPy, spaces, series and
+    # the harness, transform skips spaces and carleson, seminorm skips carleson
     argv = [arg.replace("{coeffs}", coeffs_file) for arg in argv]
     assert _entry_run(argv)[::2] == (code, loads)
+
+
+def _import_time_modules(path: Path) -> list[str]:
+    """Modules a file imports when it is imported: every import statement outside
+    function bodies, including those in class bodies and ``if``/``try`` blocks."""
+    names, stack = [], [ast.parse(path.read_text(encoding="utf-8"))]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.append(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("layer", ["measure", "numerics", "carleson"])
+def test_battery_layers_import_no_numpy_at_module_level(layer):
+    # the carleson command loads only these three; NumPy may load inside a
+    # function that only other commands call (measure.moments_array)
+    imported = _import_time_modules(SRC / "cesaro" / f"{layer}.py")
+    assert "errors" in imported
+    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
 
 
 def test_serializer_refuses_a_non_record_without_loading_a_layer():

@@ -17,6 +17,7 @@ from cesaro.measure import (
     Lebesgue,
     Mixture,
     PowerDensity,
+    check_order,
     load_measure,
     measure_from_dict,
     measure_to_dict,
@@ -74,6 +75,12 @@ class TestMoments:
     def test_rejects_orders_outside_range(self, order):
         with pytest.raises(ParameterError, match=r"order must be an integer in \[0, 1048576\]"):
             moments_array(Lebesgue(), order)
+
+    @pytest.mark.parametrize("order", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_accepts_numpy_integers(self, order):
+        # check_order takes anything with __index__, as NumPy's integer types have
+        assert check_order(order) == 5 and type(check_order(order)) is int
+        assert moments_array(Lebesgue(), order).size == 6
 
     def test_lebesgue_closed_form(self):
         seq = moments_array(Lebesgue(), 10)

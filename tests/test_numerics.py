@@ -23,26 +23,32 @@ from cesaro.numerics import (
 )
 
 
+def _ones(us):
+    return [1.0] * len(us)
+
+
 class TestQuadMeasure:
+    """``quad_measure`` hands its integrand the nodes in ``u = 1 - t``."""
+
     def test_polynomial_against_lebesgue(self):
-        val = quad_measure(lambda t: 3.0 * t ** 2, Lebesgue())
+        val = quad_measure(lambda us: [3.0 * (1.0 - u) ** 2 for u in us], Lebesgue())
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_atomic_is_exact_sum(self):
         mu = Atomic((0.25, 0.5), (2.0, 1.0))
-        val = quad_measure(lambda t: t, mu)
+        val = quad_measure(lambda us: [1.0 - u for u in us], mu)
         assert val == 2.0 * 0.25 + 0.5
 
     def test_atomic_singular_factor_applied_pointwise(self):
         mu = Atomic((0.5,), (1.0,))
-        val = quad_measure(lambda t: np.ones_like(t), mu, singular_exponent=1.0)
+        val = quad_measure(_ones, mu, singular_exponent=1.0)
         assert val == pytest.approx(2.0, rel=1e-15)
 
     def test_power_density_against_scipy_alg_weight(self):
         # integral of cos(t) * (1-t)^(-0.5) dt, the singular factor
-        # absorbed into the Jacobi weight on our side
+        # absorbed into the endpoint weights on our side
         mu = Lebesgue()
-        ours = quad_measure(np.cos, mu, singular_exponent=0.5)
+        ours = quad_measure(lambda us: [math.cos(1.0 - u) for u in us], mu, singular_exponent=0.5)
         ref, err = integrate.quad(
             np.cos, 0.0, 1.0, weight="alg", wvar=(0.0, -0.5)
         )
@@ -51,7 +57,7 @@ class TestQuadMeasure:
     def test_density_alpha_combines_with_singularity(self):
         # (1-t)^0.5 density with (1-t)^-0.25 factor: net exponent 0.25
         mu = PowerDensity(0.5, scale=2.0)
-        ours = quad_measure(lambda t: t + 1.0, mu, singular_exponent=0.25)
+        ours = quad_measure(lambda us: [2.0 - u for u in us], mu, singular_exponent=0.25)
         ref, err = integrate.quad(
             lambda t: t + 1.0, 0.0, 1.0, weight="alg", wvar=(0.0, 0.25)
         )
@@ -59,18 +65,18 @@ class TestQuadMeasure:
 
     def test_mixture_sums_parts(self):
         mix = Mixture((Lebesgue(), Atomic((0.5,), (1.0,))))
-        val = quad_measure(lambda t: t, mix)
+        val = quad_measure(lambda us: [1.0 - u for u in us], mix)
         assert val == pytest.approx(0.5 + 0.5, rel=1e-12)
 
     def test_complex_integrand(self):
         z = 0.4 + 0.3j
-        val = quad_measure(lambda t: 1.0 / (1.0 - t * z), Lebesgue())
+        val = quad_measure(lambda us: [1.0 / (1.0 - (1.0 - u) * z) for u in us], Lebesgue())
         expected = -np.log(1.0 - z) / z
         assert val == pytest.approx(expected, rel=1e-10)
 
     def test_divergent_integral_raises_with_estimates(self):
         with pytest.raises(NumericsError) as exc:
-            quad_measure(lambda t: np.ones_like(t), Lebesgue(), singular_exponent=1.0)
+            quad_measure(_ones, Lebesgue(), singular_exponent=1.0)
         assert "not integrable" in str(exc.value)
         assert len(exc.value.estimates) == 2
         # estimates grow monotonically for a positive divergent integrand
@@ -80,73 +86,100 @@ class TestQuadMeasure:
         # exactly the non-integrable endpoint: alpha_eff = -1
         mu = PowerDensity(-0.5)
         with pytest.raises(NumericsError):
-            quad_measure(lambda t: np.ones_like(t), mu, singular_exponent=0.5)
+            quad_measure(_ones, mu, singular_exponent=0.5)
 
     def test_integrable_singularity_converges(self):
         # alpha_eff = -0.75 is integrable even though each factor alone
         # would make the raw integrand blow up at the endpoint
         mu = PowerDensity(-0.25)
-        val = quad_measure(lambda t: np.ones_like(t), mu, singular_exponent=0.5)
+        val = quad_measure(_ones, mu, singular_exponent=0.5)
         assert val == pytest.approx(4.0, rel=1e-9)
 
     def test_rejects_non_measure(self):
         with pytest.raises(ParameterError):
-            quad_measure(lambda t: t, "lebesgue")
+            quad_measure(_ones, "lebesgue")
 
-    @pytest.mark.parametrize("beta", [-0.95, -0.5, 0.0, 1.5])
-    @pytest.mark.parametrize("q", [0.6, 1.5, 3.0])
+    @pytest.mark.parametrize("beta", [-0.95, -0.5, 0.0, 1.5, 3.0])
+    @pytest.mark.parametrize("q", [0.6, 1.5, 3.0, 8.0])
     def test_kernel_matches_beta_hypergeometric_oracle(self, beta, q):
-        # integral (1-x)**beta (1-ax)**-q dx = B(1, beta+1) 2F1(q, 1; beta+2; a)
+        # integral (1-x)**beta (1-ax)**-q dx = B(1, beta+1) 2F1(q, 1; beta+2; a),
+        # with 1 - a x = (1-a) + a u, at every probe depth a float can hold
         mp.mp.dps = 30
-        for j in range(1, 19):
+        for j in range(1, 53):
             a = 1.0 - 2.0 ** -j
-            ours = quad_measure(lambda x: (1.0 - a * x) ** (-q), PowerDensity(beta))
+            ours = quad_measure(lambda us: [(2.0 ** -j + a * u) ** -q for u in us],
+                                PowerDensity(beta))
             ref = mp.beta(1, beta + 1) * mp.hyp2f1(q, 1, beta + 2, mp.mpf(a))
-            assert ours == pytest.approx(float(ref), rel=1e-10), j
+            assert ours == pytest.approx(float(ref), rel=1e-12), j
 
     def test_deep_probe_exact_value(self):
         # integral (1-x)**-1/2 (1-ax)**-3/2 dx = 2/(1-a) = 2**19 at a = 1 - 2**-18
         a = 1.0 - 2.0 ** -18
-        val = quad_measure(lambda x: (1.0 - a * x) ** -1.5, Lebesgue(), singular_exponent=0.5)
+        val = quad_measure(lambda us: [(2.0 ** -18 + a * u) ** -1.5 for u in us], Lebesgue(),
+                           singular_exponent=0.5)
         assert val == pytest.approx(2.0 ** 19, rel=1e-12)
 
     @pytest.mark.parametrize("beta", [-0.95, -0.5, 0.0, 1.5, 40.0])
     def test_density_end_panel_is_closed_form(self, beta):
-        # g runs once on the panel nodes and once at t = 1.0, where every
-        # point of u < 2**-60 rounds; that piece integrates u**beta exactly
+        # g runs once on the panel nodes and once at u = 0, which stands for
+        # every point of u < EDGE; that piece integrates u**beta exactly
         calls = []
 
-        def g(t):
-            calls.append(np.array(t, copy=True))
-            return np.exp(t)
+        def g(us):
+            calls.append(tuple(us))
+            return [math.exp(1.0 - u) for u in us]
 
         val = quad_measure(g, PowerDensity(beta, scale=2.0))
         assert len(calls) == 2
-        panel_u, panel_w = numerics._panel_rule()
-        assert np.array_equal(calls[0], 1.0 - panel_u)
-        assert calls[0].size == numerics.PANELS * numerics.PANEL_NODES
-        assert np.array_equal(calls[1], [1.0])
-        edge = 0.5 ** numerics.PANELS
-        panels = 2.0 * np.sum(panel_w * panel_u ** beta * np.exp(calls[0]))
-        end = 2.0 * edge ** (beta + 1.0) / (beta + 1.0) * math.e
+        nodes, weights = numerics._panel_rule()
+        assert calls[0] == nodes
+        assert len(nodes) == numerics.PANELS * numerics.PANEL_NODES
+        assert calls[1] == (0.0,)
+        panels = 2.0 * sum(w * u ** beta * math.exp(1.0 - u) for u, w in zip(nodes, weights))
+        end = 2.0 * numerics.EDGE ** (beta + 1.0) / (beta + 1.0) * math.e
         assert val == pytest.approx(panels + end, rel=1e-15)
+
+    def test_nodes_match_leggauss(self):
+        # the stored half of the Gauss-Legendre rule against NumPy's whole rule
+        ref_x, ref_w = np.polynomial.legendre.leggauss(numerics.PANEL_NODES)
+        half = numerics.PANEL_NODES // 2
+        assert len(numerics._GL_NODES) == len(numerics._GL_WEIGHTS) == half
+        np.testing.assert_allclose(ref_x[:half], [-x for x in reversed(numerics._GL_NODES)],
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(ref_x[half:], numerics._GL_NODES, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(ref_w[:half], numerics._GL_WEIGHTS[::-1], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(ref_w[half:], numerics._GL_WEIGHTS, rtol=0.0, atol=1e-15)
+
+    def test_panels_tile_the_grid(self):
+        # panel k is Gauss-Legendre in s = -ln u on [2k ln 2, (2k+2) ln 2]: its nodes
+        # lie in u = [2**-(2k+2), 2**-2k], and its weights, without their du/ds = u
+        # factor, sum to the panel's width in s; the grid ends at EDGE
+        nodes, weights = numerics._panel_rule()
+        octaves, size = numerics.PANEL_OCTAVES, numerics.PANEL_NODES
+        for k in range(numerics.PANELS):
+            panel = range(k * size, (k + 1) * size)
+            lo, hi = 0.5 ** (octaves * (k + 1)), 0.5 ** (octaves * k)
+            assert all(lo < nodes[i] < hi for i in panel), k
+            width = math.fsum(weights[i] / nodes[i] for i in panel)
+            assert width == pytest.approx(octaves * math.log(2.0), rel=1e-14), k
+        assert numerics.EDGE == 0.5 ** (numerics.PANELS * octaves)
 
 
 class TestQuadOverflow:
     def test_atom_near_one_overflows_to_numerics_error(self):
         mu = Atomic((0.5, 1.0 - 2.0 ** -40), (1.0, 1.0))
         with pytest.raises(NumericsError, match="overflows"):
-            quad_measure(lambda t: np.ones_like(t), mu, singular_exponent=30.0)
+            quad_measure(_ones, mu, singular_exponent=30.0)
 
     def test_steep_endpoint_weight_is_not_integrable_without_warning(self):
         # u**-30 overflows on the deepest panels before the exponent is judged
         with pytest.raises(NumericsError, match="not integrable"):
-            quad_measure(lambda t: np.ones_like(t), Lebesgue(), singular_exponent=30.0)
+            quad_measure(_ones, Lebesgue(), singular_exponent=30.0)
 
     def test_mixture_sum_overflow_is_numerics_error(self):
         mu = Mixture((PowerDensity(0.0, scale=1e308), PowerDensity(0.0, scale=1e308)))
         with pytest.raises(NumericsError, match="overflows"):
-            quad_measure(lambda t: np.ones_like(t), mu)
+            quad_measure(_ones, mu)
 
 
 class TestClassifyGrowth:
@@ -194,6 +227,11 @@ class TestClassifyGrowth:
         with pytest.raises(ParameterError):
             classify_growth([1.0, 2.0], [1, 2, 3])
 
+    def test_repeated_levels_rejected(self):
+        # a least-squares slope needs distinct levels
+        with pytest.raises(ParameterError, match="distinct levels"):
+            classify_growth([1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2])
+
     def test_explicit_levels_respected(self):
         # same values on stretched levels halve the slope
         values = [2.0 ** j for j in range(1, 13)]
@@ -231,10 +269,10 @@ class TestClassifyGrowth:
 
 class TestDyadicRadii:
     def test_values(self):
-        assert dyadic_radii(3).tolist() == [0.5, 0.75, 0.875]
+        assert dyadic_radii(3) == [0.5, 0.75, 0.875]
 
     def test_start_level(self):
-        assert dyadic_radii(4, 3).tolist() == [0.875, 0.9375]
+        assert dyadic_radii(4, 3) == [0.875, 0.9375]
 
     def test_rejects_depth_below_start(self):
         with pytest.raises(ParameterError):

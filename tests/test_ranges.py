@@ -44,7 +44,8 @@ CASES = {
     # every finite exponent is allowed (a divergent integral is exit 3), so no finite
     # end is excluded and the end row repeats NaN
     "quad_measure.singular_exponent": (
-        "singular_exponent", lambda x: quad_measure(np.ones_like, Lebesgue(), singular_exponent=x),
+        "singular_exponent",
+        lambda x: quad_measure(lambda us: [1.0] * len(us), Lebesgue(), singular_exponent=x),
         math.nan),
     "integral_rep_eval.s": ("s", lambda x: integral_rep_eval(F, Lebesgue(), x, 0.5), 0.0),
     "integral_rep_eval.z": ("|z|", lambda x: integral_rep_eval(F, Lebesgue(), 1.0, x), 1.0),
