@@ -26,11 +26,10 @@ shows up in the trace.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from operator import truediv
 
-from .errors import NumericsError, ParameterError, check_real
+from .errors import NumericsError, ParameterError, check_int, check_real
 from .measure import Atomic, Lebesgue, MeasureSpec, Mixture, PowerDensity, tail_mass, total_mass
 # bench/tracer.py wraps moments_array under every module that imports it
 from .measure import moments_array  # noqa: F401
@@ -79,9 +78,7 @@ def _check_args(s: float, depth: int, t: float | None = None) -> tuple[float, fl
     """``(s, t)`` as floats, if positive, with ``depth`` an integer in ``DEPTH_RANGE``
     and the exponent ``s`` (``s + t``) within ``EXPONENT_BUDGET`` to that level."""
     s = check_real("s", s, 0)
-    lo, hi = DEPTH_RANGE
-    if not (isinstance(depth, numbers.Integral) and lo <= depth <= hi):
-        raise ParameterError(f"probe depth must be an integer in [{lo}, {hi}], got {depth!r}")
+    check_int("probe depth", depth, *DEPTH_RANGE)
     exponent = s
     if t is not None:
         t = check_real("t", t, 0)

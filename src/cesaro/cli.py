@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import gc
 import importlib
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -85,11 +83,13 @@ def _record_dict(record) -> dict:
     """A result record as JSON: its fields by name, with ``passed`` written as ``"pass"``."""
     if not any((cls.__module__, cls.__qualname__) in _RECORDS for cls in type(record).__mro__):
         raise TypeError(f"{type(record).__name__} is not a result record")
+    import dataclasses  # loaded by every layer that defines a record; --help skips it
     return {"pass" if f.name == "passed" else f.name: getattr(record, f.name)
             for f in dataclasses.fields(record)}
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
+    import json  # loaded already by every command that writes JSON; --help skips it
     _emit(json.dumps(payload, indent=2, sort_keys=True, default=_record_dict) + "\n", out)
 
 

@@ -55,7 +55,7 @@ def dyadic_atoms(weight_exponent: float) -> Atomic:
     ``2**(-j*weight_exponent)``, so the measure has tail order exactly
     ``weight_exponent``.
     """
-    k = np.arange(1, DYADIC_ATOM_COUNT + 1)
+    k = range(1, DYADIC_ATOM_COUNT + 1)
     return Atomic(
         points=tuple(1.0 - 0.5 ** kk for kk in k),
         weights=tuple(2.0 ** (-weight_exponent * kk) for kk in k),

@@ -1,8 +1,10 @@
-"""One exception class per CLI exit code, and the one range check for real arguments.
+"""One exception class per CLI exit code, and the one range check each for real
+and integer arguments.
 
 ``ParameterError`` is exit 2 (an argument or input outside its domain) and
 ``NumericsError`` is exit 3 (a numerical procedure that did not settle).
-``check_real`` is how every real-valued argument is held to its interval.
+``check_real`` is how every real-valued argument is held to its interval, and
+``check_int`` how every integer argument is.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ __all__ = [
     "ParameterError",
     "NumericsError",
     "check_real",
+    "check_int",
 ]
 
 
@@ -40,3 +43,12 @@ def check_real(name: str, x, lo: float, hi: float = math.inf, *, closed: bool = 
         bracket = "[" if closed else "("
         raise ParameterError(f"{name} must lie in {bracket}{lo!r}, {hi!r}), got {x!r}")
     return x
+
+
+def check_int(name: str, n, lo: int, hi: float = math.inf) -> int:
+    """``n.__index__()`` if ``n`` is an integer in ``[lo, hi]``: an int or a NumPy
+    integer (anything with ``__index__``), not a bool; else ``ParameterError``."""
+    k = n.__index__() if hasattr(n, "__index__") and not isinstance(n, bool) else None
+    if k is None or not lo <= k <= hi:
+        raise ParameterError(f"{name} must be an integer in [{lo}, {hi}], got {n!r}")
+    return k

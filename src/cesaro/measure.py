@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from .errors import ParameterError, check_real
+from .errors import ParameterError, check_int, check_real
 
 __all__ = [
     "Atomic",
@@ -102,12 +102,8 @@ MAX_ORDER = 1 << 20
 
 
 def check_order(n: int) -> int:
-    """``n`` as an int, if it is an integer in ``[0, MAX_ORDER]``: an int or a
-    NumPy integer (anything with ``__index__``), not a bool."""
-    k = n.__index__() if hasattr(n, "__index__") and not isinstance(n, bool) else -1
-    if not 0 <= k <= MAX_ORDER:
-        raise ParameterError(f"order must be an integer in [0, {MAX_ORDER}], got {n!r}")
-    return k
+    """``n`` as an int, if it is an integer in ``[0, MAX_ORDER]``."""
+    return check_int("order", n, 0, MAX_ORDER)
 
 
 def moments_array(mu: MeasureSpec, order: int):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .errors import NumericsError, ParameterError, check_real
+from .errors import NumericsError, ParameterError, check_int, check_real
 from .measure import Atomic, Lebesgue, MeasureSpec, Mixture, PowerDensity
 
 __all__ = [
@@ -213,8 +213,7 @@ def sup_on_dyadic_boundary(
     With ``angles=1`` the probe points are real floats, otherwise complex.
     ``h`` returns a float and may return ``inf`` to mark a divergent sample.
     """
-    if angles < 1:
-        raise ParameterError(f"angles must be positive, got {angles}")
+    angles = check_int("angles", angles, 1)
     theta = [2.0 * math.pi * k / angles for k in range(angles)]
     turns = [complex(math.cos(t), math.sin(t)) for t in theta] if angles > 1 else [1.0]
     radii = dyadic_radii(depth, start_level)

@@ -148,15 +148,13 @@ def cesaro_mu_s(
 
 
 def kernel_series(mu: MeasureSpec, s: float, order: int = DEFAULT_ORDER) -> PowerSeries:
-    """Series with coefficients ``gamma_ratio(n, s) * mu_n``.
+    """Series with coefficients ``gamma_ratio(n, s) * mu_n``: the transform of 1.
 
-    This is the transform of the constant 1 and also the Taylor expansion
+    This is ``cesaro_mu_s`` of the constant 1 and also the Taylor expansion
     of ``integral of (1-tz)**-s d mu(t)``; its coefficient decay encodes
     whether ``mu`` satisfies the order-``s`` tail condition.
     """
-    order = check_order(order)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_series(gamma_ratio(np.arange(order + 1), s) * moments_array(mu, order))
+    return cesaro_mu_s(PowerSeries.constant(1.0), mu, s, order)
 
 
 def read_coefficients(path: str | Path) -> PowerSeries:

@@ -32,9 +32,8 @@ __all__ = [
     "hinf_norm",
 ]
 
-# Mp doubles its angle count from MP_START_ANGLES until two circle means
-# agree to MP_RTOL, and gives up past MP_MAX_ANGLES
-MP_START_ANGLES = 64
+# Mp doubles its angle count from the first power of two above the degree
+# until two circle means agree to MP_RTOL, and gives up past MP_MAX_ANGLES
 MP_RTOL = 1e-8
 MP_MAX_ANGLES = 1 << 20
 
@@ -105,15 +104,16 @@ def Mp(f: PowerSeries, r: float, p: float) -> float:
     """Integral mean ``(average of |f|**p over the circle |z|=r)**(1/p)``.
 
     Uniform angular sampling is the trapezoid rule for periodic
-    integrands, so the angle count doubles from ``MP_START_ANGLES`` until
-    two estimates agree to ``MP_RTOL``; running out of angles raises
+    integrands, so the angle count doubles from the smallest power of two
+    above ``deg f`` (at most ``MP_MAX_ANGLES // 2``, leaving one doubling)
+    until two estimates agree to ``MP_RTOL``; running out of angles raises
     ``NumericsError``.  Each circle is sampled by ``_circle_samples``.
     """
     r = check_real("r", r, 0, 1, closed=True)
     p = check_real("p", p, 1, closed=True)
     prev = None
     est = None
-    m = MP_START_ANGLES
+    m = min(1 << f.order.bit_length(), MP_MAX_ANGLES // 2)
     while m <= MP_MAX_ANGLES:
         modulus = np.abs(_circle_samples(f.coeffs, r, m))
         with np.errstate(over="ignore", invalid="ignore"):

@@ -130,6 +130,9 @@ def test_both_launchers_freeze_the_import_heap_through_one_entry():
 
 # what start-up can load: NumPy and every layer that imports it
 HEAVY = {"numpy", "measure", "numerics", "series", "carleson", "spaces", "harness", "corpus"}
+# what a command loads through its layers and a bare ``cli`` never needs
+# (``dataclasses`` imports ``inspect``)
+STDLIB = {"dataclasses", "inspect", "json"}
 
 
 def _entry_run(argv: list[str], entry: str = "run()") -> tuple[int, int, set[str]]:
@@ -143,7 +146,7 @@ def _entry_run(argv: list[str], entry: str = "run()") -> tuple[int, int, set[str
         "print(code, gc.get_freeze_count(), *sorted(m.removeprefix('cesaro.') for m in sys.modules))"
     )
     code, frozen, *modules = line.split()
-    return int(code), int(frozen), HEAVY.intersection(modules)
+    return int(code), int(frozen), (HEAVY | STDLIB).intersection(modules)
 
 
 @pytest.fixture(scope="module")
@@ -163,17 +166,18 @@ LEBESGUE = str(MEASURES / "lebesgue.json")
         (["transform", "--help"], 0, set()),
         (["carleson", "--measure", LEBESGUE], 2, set()),
         (["carleson", "--measure", LEBESGUE, "--s", "1", "--depth", "8"], 0,
-         {"measure", "numerics", "carleson"}),
+         {"measure", "numerics", "carleson"} | STDLIB),
         (["transform", "--measure", LEBESGUE, "--constant", "1"], 0,
-         {"numpy", "measure", "numerics", "series"}),
+         {"numpy", "measure", "numerics", "series"} | STDLIB),
         (["seminorm", "--space", "hinf", "--input", "{coeffs}"], 0,
-         {"numpy", "measure", "numerics", "series", "spaces"}),
+         {"numpy", "measure", "numerics", "series", "spaces"} | STDLIB),
     ],
     ids=["help", "transform-help", "usage-error", "carleson", "transform", "seminorm"],
 )
 def test_each_call_loads_only_its_command_layers(argv, code, loads, coeffs_file):
-    # --help and usage errors run no layer; carleson skips NumPy, spaces, series and
-    # the harness, transform skips spaces and carleson, seminorm skips carleson
+    # --help and usage errors run no layer and load neither dataclasses nor json;
+    # carleson skips NumPy, spaces, series and the harness, transform skips spaces
+    # and carleson, seminorm skips carleson
     argv = [arg.replace("{coeffs}", coeffs_file) for arg in argv]
     assert _entry_run(argv)[::2] == (code, loads)
 
@@ -194,13 +198,21 @@ def _import_time_modules(path: Path) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize("layer", ["measure", "numerics", "carleson"])
+@pytest.mark.parametrize("layer", ["measure", "numerics", "carleson", "harness"])
 def test_battery_layers_import_no_numpy_at_module_level(layer):
-    # the carleson command loads only these three; NumPy may load inside a
-    # function that only other commands call (measure.moments_array)
+    # the carleson command loads only the first three; NumPy may load inside a
+    # function that only other commands call (measure.moments_array).  The
+    # harness reaches NumPy only through the series and spaces layers it runs
     imported = _import_time_modules(SRC / "cesaro" / f"{layer}.py")
     assert "errors" in imported
     assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+
+
+def test_cli_imports_no_dataclasses_or_json_at_module_level():
+    # a bare --help needs neither; the commands that write JSON load both through their layers
+    imported = _import_time_modules(SRC / "cesaro" / "cli.py")
+    assert "errors" in imported
+    assert STDLIB.intersection(imported) == set()
 
 
 def test_serializer_refuses_a_non_record_without_loading_a_layer():

@@ -308,5 +308,8 @@ class TestSupOnDyadicBoundary:
         assert rep.verdict == DIVERGENT
 
     def test_rejects_nonpositive_angles(self):
-        with pytest.raises(ParameterError):
-            sup_on_dyadic_boundary(lambda a: 1.0, depth=6, angles=0)
+        # a fractional count is refused before range() sees it
+        for angles in (0, 2.5):
+            with pytest.raises(ParameterError,
+                               match=rf"^angles must be an integer in \[1, inf\], got {angles}$"):
+                sup_on_dyadic_boundary(lambda a: 1.0, depth=6, angles=angles)

@@ -1,8 +1,11 @@
-"""Every real argument with a stated range is held to it by ``check_real``.
+"""Every real argument with a stated range is held to it by ``check_real``,
+and every integer argument by ``check_int``.
 
-Each function gets NaN, both infinities and the excluded end of its
-interval, and must raise ``ParameterError`` naming the argument; an
-out-of-range measure file is one ``error:`` line and exit 2.
+Each real argument gets NaN, both infinities and the excluded end of its
+interval, and must raise ``ParameterError`` naming the argument; each
+integer argument gets a bool, a float, a string, NaN and the integers just
+past both ends of its range.  An out-of-range measure file is one ``error:``
+line and exit 2.
 """
 
 import math
@@ -15,8 +18,8 @@ from cesaro import carleson, spaces
 from cesaro.cli import main
 from cesaro.corpus import blaschke_factor
 from cesaro.errors import ParameterError, check_real
-from cesaro.measure import Atomic, Lebesgue, PowerDensity, tail_mass
-from cesaro.numerics import quad_measure
+from cesaro.measure import MAX_ORDER, Atomic, Lebesgue, PowerDensity, moments_array, tail_mass
+from cesaro.numerics import quad_measure, sup_on_dyadic_boundary
 from cesaro.series import PowerSeries, gamma_ratio
 
 from paper_checks import circle_kernel_check, compose_mobius, integral_rep_eval, two_kernel_check
@@ -67,6 +70,35 @@ def test_out_of_range_argument_is_refused(case, x):
     x = end if x == "end" else x
     with pytest.raises(ParameterError, match=rf"^{re.escape(name)} must lie in [\[(]"):
         call(x)
+
+
+# (argument name, call with the argument as n, its range)
+INT_CASES = {
+    "moments_array.order": ("order", lambda n: moments_array(Lebesgue(), n), (0, MAX_ORDER)),
+    "box_test.depth": ("probe depth", lambda n: carleson.box_test(Lebesgue(), 1.0, depth=n),
+                       carleson.DEPTH_RANGE),
+    "sup_on_dyadic_boundary.angles": (
+        "angles", lambda n: sup_on_dyadic_boundary(lambda a: 1.0, depth=6, angles=n),
+        (1, math.inf)),
+}
+
+
+@pytest.mark.parametrize("case, n", [
+    (case, n) for case, (_, _, (lo, hi)) in sorted(INT_CASES.items())
+    # no integer lies past an infinite end
+    for n in (True, 5.0, "5", math.nan, lo - 1, hi + 1) if n != math.inf
+])
+def test_out_of_range_integer_is_refused(case, n):
+    name, call, (lo, hi) = INT_CASES[case]
+    with pytest.raises(ParameterError, match=rf"^{re.escape(name)} must be an integer in "
+                                             rf"\[{lo}, {hi}\], got {re.escape(repr(n))}$"):
+        call(n)
+
+
+@pytest.mark.parametrize("case", sorted(INT_CASES))
+def test_numpy_integer_is_accepted(case):
+    name, call, (lo, hi) = INT_CASES[case]
+    call(np.int64(max(lo, 8)))
 
 
 def test_two_kernel_check_needs_a_positive_gap():

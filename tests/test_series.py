@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import time
 
+from cesaro.corpus import labeled_corpus
 from cesaro.errors import NumericsError, ParameterError
 from cesaro.measure import MAX_ORDER, Atomic, Lebesgue, PowerDensity, moments_array
 from cesaro.series import (
@@ -189,11 +191,14 @@ class TestTransforms:
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-14
 
     def test_kernel_series_is_transform_of_one(self):
-        mu = PowerDensity(-0.5)
-        s = 0.5
-        k = kernel_series(mu, s, 40)
-        g = cesaro_mu_s(PowerSeries.constant(1.0), mu, s, 40)
-        assert np.max(np.abs(k.coeffs - g.coeffs)) < 1e-15
+        # bit for bit the product gamma_ratio(n, s) * mu_n, its defining formula,
+        # on every corpus measure
+        for s, order in itertools.product([0.3, 0.5, 1.0, 2.0], [0, 1, 400, 4096, 1 << 14]):
+            n = np.arange(order + 1)
+            for entry in labeled_corpus():
+                product = gamma_ratio(n, s) * moments_array(entry.measure, order)
+                k = kernel_series(entry.measure, s, order).coeffs
+                assert np.array_equal(k.real, product) and not np.any(k.imag), (entry.name, s)
 
     @given(bounded_coefficient_arrays(16), bounded_coefficient_arrays(16))
     def test_linearity(self, ca, cb):

@@ -10,10 +10,11 @@ from scipy.optimize import minimize_scalar
 
 from cesaro import spaces
 from cesaro.cli import _record_dict
-from cesaro.corpus import blaschke_factor, bounded_test_functions, dyadic_atoms
+from cesaro.corpus import blaschke_factor, bounded_test_functions, dyadic_atoms, labeled_corpus
 from cesaro.errors import NumericsError, ParameterError
 from cesaro.measure import Lebesgue
-from cesaro.series import PowerSeries, _horner, cesaro_mu, gamma_ratio, kernel_series
+from cesaro.numerics import dyadic_radii
+from cesaro.series import PowerSeries, _horner, cesaro_mu, cesaro_mu_s, gamma_ratio, kernel_series
 from cesaro.spaces import (
     Mp,
     bloch_seminorm,
@@ -33,7 +34,71 @@ def log_series():
     return cesaro_mu(PowerSeries.constant(1.0), Lebesgue(), 400)
 
 
+def _mp_from_64(f, r, p):
+    """``Mp`` as it sampled before its start followed the degree: 64 angles, doubled."""
+    prev = est = None
+    m = 64
+    while m <= spaces.MP_MAX_ANGLES:
+        modulus = np.abs(spaces._circle_samples(f.coeffs, r, m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = float(np.max(modulus)) or 1.0
+            new = top * float(np.mean((modulus / top) ** p) ** (1.0 / p))
+        if not math.isfinite(new):
+            raise NumericsError("not finite")
+        if est is not None and abs(new - est) <= spaces.MP_RTOL * max(new, est):
+            return new
+        prev, est = est, new
+        m *= 2
+    raise NumericsError("unsettled", estimates=(prev, est))
+
+
 class TestMp:
+    @pytest.mark.parametrize("order, first", [(0, 1), (1, 2), (63, 64), (64, 128), (400, 512),
+                                              (spaces.MP_MAX_ANGLES, spaces.MP_MAX_ANGLES // 2)])
+    def test_first_angle_count_is_the_power_of_two_above_the_degree(self, monkeypatch, order,
+                                                                    first):
+        # capped at half of MP_MAX_ANGLES, so that one doubling is left to compare with
+        counts, sample = [], spaces._circle_samples
+        monkeypatch.setattr(spaces, "_circle_samples",
+                            lambda c, r, m: counts.append(m) or sample(c, r, m))
+        Mp(PowerSeries(0.9 ** np.arange(order + 1)), 0.5, 3.0)
+        assert counts == [first << k for k in range(len(counts))] and len(counts) >= 2
+
+    def test_degree_start_matches_the_start_at_64_schedule(self, monkeypatch):
+        # the order-400 transforms of the four bounded functions against four
+        # measures at s = 0.5 and 1, and the order-4096 necessity transform: the
+        # same calls raise and the same traces settle.  A trace that moves by more
+        # than 1e-10 must be the start-at-64 schedule's error: one does, by 1.003e-10
+        # (blaschke_half against power_linear_at_2, s = 1, p = 1.6, r = 0.875), where
+        # 64 doubled to too few angles and the new mean is the 65536-angle mean
+        measures = [e.measure for e in labeled_corpus()[:4]]
+        radii = [0.0] + dyadic_radii(spaces.LAMBDA_DEPTH)
+        inputs = [cesaro_mu_s(f, mu, s) for _, f in bounded_test_functions()
+                  for mu in measures for s in (0.5, 1.0)]
+        inputs.append(cesaro_mu(PowerSeries.constant(1.0), dyadic_atoms(0.5), 1 << 12))
+
+        def outcome(g, p):
+            try:
+                return lambda_norm(g, p)
+            except NumericsError:
+                return None
+
+        for g in inputs:
+            for p in (1.05, 1.2, 1.6, 2.0, 3.0, 4.0, 7.0):
+                new = outcome(g, p)
+                with monkeypatch.context() as patch:
+                    patch.setattr(spaces, "Mp", _mp_from_64)
+                    old = outcome(g, p)
+                assert (new is None) == (old is None), p
+                if new is None:
+                    continue
+                assert new.converged == old.converged, p
+                for r, a, b in zip(radii, new.trace, old.trace):
+                    if abs(a - b) > 1e-10 * b:
+                        modulus = np.abs(spaces._circle_samples(g.derivative().coeffs, r, 1 << 16))
+                        fine = (1.0 - r) ** (1.0 - 1.0 / p) * np.mean(modulus ** p) ** (1.0 / p)
+                        assert a == pytest.approx(fine, rel=1e-13), (p, r)
+
     @pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
     def test_rejects_exponent_outside_range(self, p):
         with pytest.raises(ParameterError):
