@@ -12,9 +12,9 @@ the resulting trace:
                          legal for ``0 <= r < s`` and ``t > 0``
 * ``disk_kernel_test``-- ``integral (1-|a|**2)**t / |1-conj(a) x|**(s+t)``
 
-Since ``|1 - conj(a) x| >= 1 - |a| x`` on [0, 1), each kernel sample is a
-prefactor times one real ``kernel_integral`` at ``a = 1 - 2**-j``; the
-complex-boundary and disk-kernel samples differ by ``(1+a)**t`` in ``[1, 2**t]``.
+Since ``|1 - conj(a) x| >= 1 - |a| x`` on [0, 1), each kernel sample is
+``(1-a)**t`` times one real ``kernel_integral`` at ``a = 1 - 2**-j``; the
+disk-kernel trace is the complex-boundary trace times ``(1+a)**t`` in ``[1, 2**t]``.
 
 For an s-Carleson measure all five stay bounded; otherwise all five grow.
 ``is_s_carleson`` runs the battery and reports the consensus.  Inner
@@ -106,13 +106,13 @@ def kernel_integral(mu: MeasureSpec, a: float, power: float, r: float) -> float:
         return math.inf
 
 
-def _kernel_trace(mu: MeasureSpec, s: float, t: float, r: float | None, depth: int, base):
-    # h(a) = base(a)**t * kernel_integral(mu, a, s + t - r, r), r = s/2 unless given
+def _kernel_trace(mu: MeasureSpec, s: float, t: float, r: float | None, depth: int):
+    # h(a) = (1-a)**t * kernel_integral(mu, a, s + t - r, r), r = s/2 unless given
     s, t = _check_args(s, depth, t)
     r = s / 2.0 if r is None else check_real("r", r, 0, s, closed=True)
     power = s + t - r
     return sup_on_dyadic_boundary(
-        lambda a: base(a) ** t * kernel_integral(mu, a, power, r), depth=depth
+        lambda a: (1.0 - a) ** t * kernel_integral(mu, a, power, r), depth=depth
     )
 
 
@@ -171,7 +171,7 @@ def integral_test_real(
     legal for ``0 <= r < s`` (default ``s/2``); a sample whose inner
     integral diverges is recorded as ``+inf``.
     """
-    return _kernel_trace(mu, s, t, r, depth, lambda a: 1.0 - a)
+    return _kernel_trace(mu, s, t, r, depth)
 
 
 def integral_test_complex(
@@ -187,21 +187,20 @@ def integral_test_complex(
     dyadic circle sits at the real probe ``a = 1 - 2**-j``, the only one
     taken: this is ``integral_test_real`` at ``r = 0``.
     """
-    return _kernel_trace(mu, s, t, 0.0, depth, lambda a: 1.0 - a)
+    return _kernel_trace(mu, s, t, 0.0, depth)
 
 
-def disk_kernel_test(
-    mu: MeasureSpec,
-    s: float,
-    t: float = 1.0,
-    depth: int = 18,
-) -> GrowthReport:
+def disk_kernel_test(boundary: GrowthReport, t: float = 1.0) -> GrowthReport:
     """Trace of ``integral (1-|a|**2)**t / |1-conj(a) x|**(s+t) d mu(x)``.
 
-    Probed at real ``a = 1 - 2**-j``, where each dyadic circle attains
-    its supremum.
+    ``boundary`` is the ``integral_test_complex`` report of the measure, and
+    ``t`` must be the ``t`` it was taken at: ``1 - a**2 = (1+a)(1-a)``, so each
+    sample is the boundary sample at level ``j`` times ``(2 - 2**-j)**t``, on
+    the same levels.  An infinite sample stays infinite.
     """
-    return _kernel_trace(mu, s, t, 0.0, depth, lambda a: 1.0 - a ** 2)
+    t, levels = check_real("t", t, 0), boundary.levels
+    samples = zip(levels, boundary.values)
+    return classify_growth([(2.0 - 0.5 ** j) ** t * v for j, v in samples], levels)
 
 
 @dataclass(frozen=True)
@@ -250,8 +249,8 @@ def is_s_carleson(
         "moment": moment_test(mu, s),
         "integral_real": integral_test_real(mu, s, t=t, r=r, depth=depth),
         "integral_complex": integral_test_complex(mu, s, t=t, depth=depth),
-        "disk_kernel": disk_kernel_test(mu, s, t=t, depth=depth),
     }
+    reports["disk_kernel"] = disk_kernel_test(reports["integral_complex"], t=t)
     diagnostics = {
         "total_mass": total_mass(mu),
         "tail_mass_at_depth": tail_mass(mu, 1.0 - 0.5 ** depth),

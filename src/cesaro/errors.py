@@ -36,13 +36,19 @@ class NumericsError(RuntimeError):
 
 
 def check_real(name: str, x, lo: float, hi: float = math.inf, *, closed: bool = False) -> float:
-    """``float(x)`` if ``lo < x < hi`` (``lo <= x < hi`` when ``closed``), else
-    ``ParameterError``; the comparison is written so that NaN never passes."""
-    x = float(x)
-    if not (lo <= x < hi if closed else lo < x < hi):
+    """``float(x)`` if ``x`` is a real number with ``lo < x < hi`` (``lo <= x < hi``
+    when ``closed``), else ``ParameterError``, which shows ``x`` as given if it is a
+    bool, a string, bytes or anything ``float()`` rejects or overflows on (a list,
+    ``10**400``); the comparison is written so that NaN never passes."""
+    try:
+        value = math.nan if isinstance(x, (bool, str, bytes)) else float(x)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not (lo <= value < hi if closed else lo < value < hi):
         bracket = "[" if closed else "("
-        raise ParameterError(f"{name} must lie in {bracket}{lo!r}, {hi!r}), got {x!r}")
-    return x
+        shown = x if math.isnan(value) else value
+        raise ParameterError(f"{name} must lie in {bracket}{lo!r}, {hi!r}), got {shown!r}")
+    return value
 
 
 def check_int(name: str, n, lo: int, hi: float = math.inf) -> int:

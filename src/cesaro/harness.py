@@ -348,7 +348,7 @@ def run_qp_range() -> ScenarioReport:
                     values=est.trace,
                 )
             )
-    g_neg = cesaro_mu(PowerSeries.constant(1.0), mu_neg, necessity_order)
+    g_neg = kernel_series(mu_neg, 1.0, necessity_order)
     decay = coeff_decay_test(g_neg)
     checks.append(
         CheckRecord(
@@ -392,7 +392,7 @@ def run_qp_range() -> ScenarioReport:
 def run_lambda_range() -> ScenarioReport:
     """Mean-Lipschitz analog of the range scenario, with the s = 1 reduction."""
     necessity_order = 1 << 14
-    necessity_for = {0.5: "dyadic_quarter_at_half", 1.0: "dyadic_half_at_1", 2.0: "power_mid_at_2"}
+    necessity_for = {0.5: "dyadic_quarter_at_half", 1.0: "dyadic_half_at_1"}
     checks, traces = [], []
     for s, p in LAMBDA_CASES:
         mu_pos = PowerDensity(s - 1.0)
@@ -435,25 +435,23 @@ def run_lambda_range() -> ScenarioReport:
                     band=(-1e-12, 1e-12),
                 )
             )
-        neg_name = necessity_for.get(s)
-        if neg_name is not None:
-            entry = corpus_entry(neg_name)
-            fk = kernel_series(entry.measure, s, necessity_order)
-            decay = coeff_decay_test(fk)
-            checks.append(
-                CheckRecord(
-                    name=f"necessity.s={s:g}.{neg_name}",
-                    expected="divergent",
-                    observed=decay.verdict,
-                )
+        neg_name = necessity_for[s]
+        fk = kernel_series(corpus_entry(neg_name).measure, s, necessity_order)
+        decay = coeff_decay_test(fk)
+        checks.append(
+            CheckRecord(
+                name=f"necessity.s={s:g}.{neg_name}",
+                expected="divergent",
+                observed=decay.verdict,
             )
-            traces.append(
-                TraceRecord(
-                    name=f"necessity.s={s:g}.decay",
-                    levels=decay.levels,
-                    values=decay.values,
-                )
+        )
+        traces.append(
+            TraceRecord(
+                name=f"necessity.s={s:g}.decay",
+                levels=decay.levels,
+                values=decay.values,
             )
+        )
     return ScenarioReport(
         "lambda-range",
         "The order-s weighted transform sends every bounded function into "

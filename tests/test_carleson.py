@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from cesaro import numerics
+from cesaro import carleson, numerics
 from cesaro.carleson import (
     CARLESON,
     EXPONENT_BUDGET,
@@ -103,7 +103,6 @@ class TestExponentBudget:
             lambda: moment_test(Lebesgue(), 70.0),
             lambda: integral_test_real(Lebesgue(), 1.0, t=1000.0),
             lambda: integral_test_complex(Lebesgue(), 1.0, t=1000.0),
-            lambda: disk_kernel_test(Lebesgue(), 1.0, t=1000.0),
             lambda: is_s_carleson(PowerDensity(-0.5), 20.0, depth=52),
         ],
     )
@@ -150,7 +149,7 @@ class TestIntegralTests:
             integral_test_real(Lebesgue(), 1.0, t=0.0)
 
     @pytest.mark.parametrize("test", [box_test, integral_test_real, integral_test_complex,
-                                      disk_kernel_test, is_s_carleson])
+                                      is_s_carleson])
     @pytest.mark.parametrize("depth", [3, 53, 60, 10.0, 10.5])
     def test_depth_outside_range_is_refused(self, test, depth):
         # past 53 levels the probe 1 - 2**-j rounds to 1.0 and a kernel
@@ -164,11 +163,11 @@ class TestDiskKernelTest:
     def test_lebesgue_at_half_is_bounded(self):
         # the tail condition holds at order 0.5 for Lebesgue measure, and
         # the disk kernel criterion must agree with the other four
-        rep = disk_kernel_test(Lebesgue(), 0.5, t=1.0, depth=10)
+        rep = disk_kernel_test(integral_test_complex(Lebesgue(), 0.5, t=1.0, depth=10), t=1.0)
         assert rep.bounded
 
     def test_lebesgue_above_order_divergent_with_half_exponent(self):
-        rep = disk_kernel_test(Lebesgue(), 1.5, t=1.0, depth=12)
+        rep = disk_kernel_test(integral_test_complex(Lebesgue(), 1.5, t=1.0, depth=12), t=1.0)
         assert rep.verdict == "divergent"
         assert rep.exponent == pytest.approx(0.5, abs=0.08)
 
@@ -260,16 +259,32 @@ class TestRealProbeReduction:
         assert end == numerics.EDGE ** (beta + 1.0) / (beta + 1.0)
         assert end >= 0.0
 
+    @pytest.mark.parametrize("depth", [18, 30, 52])
     @pytest.mark.parametrize("t", [1.0, 2.5])
     @pytest.mark.parametrize("entry", labeled_corpus(), ids=lambda e: e.name)
-    def test_disk_kernel_is_complex_trace_times_one_plus_a(self, entry, t):
-        # (1 - a**2)**t = (1 + a)**t (1 - a)**t: the two criteria share one integral
-        cplx = integral_test_complex(entry.measure, entry.order, t=t)
-        disk = disk_kernel_test(entry.measure, entry.order, t=t)
+    def test_disk_kernel_is_complex_trace_times_one_plus_a(self, entry, t, depth):
+        # (1 - a**2)**t = (1 + a)**t (1 - a)**t: the two criteria share one integral,
+        # and 1 - a = 2**-j is exact where 1 - a**2 would cancel at deep levels
+        reports = is_s_carleson(entry.measure, entry.order, t=t, depth=depth).reports
+        cplx, disk = reports["integral_complex"], reports["disk_kernel"]
+        assert disk.levels == cplx.levels
         for j, c, d in zip(cplx.levels, cplx.values, disk.values):
             assert math.isinf(d) == math.isinf(c), j
             if not math.isinf(c):
-                assert math.isclose(d, (2.0 - 0.5 ** j) ** t * c, rel_tol=1e-14), j
+                assert math.isclose(d, (2.0 - 0.5 ** j) ** t * c, rel_tol=1e-15), j
+
+    def test_battery_takes_each_kernel_integral_once(self, monkeypatch):
+        # 18 levels each for the real and the complex-boundary traces; the
+        # disk-kernel trace rescales the complex-boundary one
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return kernel_integral(*args)
+
+        monkeypatch.setattr(carleson, "kernel_integral", spy)
+        is_s_carleson(Lebesgue(), 1.0)
+        assert len(calls) == 36
 
 
 class TestKernelIntegral:

@@ -4,8 +4,9 @@ and every integer argument by ``check_int``.
 Each real argument gets NaN, both infinities and the excluded end of its
 interval, and must raise ``ParameterError`` naming the argument; each
 integer argument gets a bool, a float, a string, NaN and the integers just
-past both ends of its range.  An out-of-range measure file is one ``error:``
-line and exit 2.
+past both ends of its range.  A value that is not a real number (a bool, a
+string, a list, an int past float range) is refused and shown as given.  An
+out-of-range or non-numeric measure file is one ``error:`` line and exit 2.
 """
 
 import math
@@ -117,13 +118,33 @@ def test_check_real_interval_ends():
 
 
 @pytest.mark.parametrize(
+    "call, x",
+    [(lambda x: check_real("s", x, 0), x) for x in ("0.5", True, b"0.5", [0.5], 10 ** 400, None)]
+    + [(PowerDensity, True)],
+    ids=["str", "bool", "bytes", "list", "huge_int", "none", "PowerDensity_bool"],
+)
+def test_non_real_is_refused_as_given(call, x):
+    # JSON booleans are ints to Python and float() takes strings; neither is a number here
+    with pytest.raises(ParameterError, match=rf"must lie in .*, got {re.escape(repr(x))}$"):
+        call(x)
+
+
+@pytest.mark.parametrize(
     "text, says",
     [
         ('{"type": "power_density", "alpha": -1}', "alpha must lie in (-1, inf), got -1.0"),
         ('{"type": "atomic", "points": [1.0], "weights": [1.0]}',
          "points must lie in [0, 1), got 1.0"),
+        ('{"type": "power_density", "alpha": "0.5"}', "alpha must lie in (-1, inf), got '0.5'"),
+        ('{"type": "atomic", "points": [true], "weights": [1.0]}',
+         "points must lie in [0, 1), got True"),
+        ('{"type": "atomic", "points": [0.5], "weights": [[1]]}',
+         "weights must lie in (0, inf), got [1]"),
+        ('{"type": "power_density", "alpha": 0, "scale": 1%s}' % ("0" * 399),
+         "scale must lie in (0, inf), got 1%s" % ("0" * 399)),
     ],
-    ids=["alpha_minus_1", "atom_at_1"],
+    ids=["alpha_minus_1", "atom_at_1", "alpha_string", "atom_bool", "weight_list",
+         "scale_400_digits"],
 )
 def test_measure_file_out_of_range_is_one_line_exit_two(text, says, tmp_path, capsys):
     path = tmp_path / "m.json"
