@@ -21,11 +21,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import importlib
 import sys
 from pathlib import Path
 from typing import Sequence
 
+from .binding import layer_binding
 from .errors import NumericsError, ParameterError
 
 __all__ = ["main", "run"]
@@ -35,10 +35,10 @@ SCHEMA_VERSION = 1
 # the layer each name the commands read comes from; a call binds only the
 # names its command reads, so ``--help`` and usage errors load no layer
 _LAYER = {
-    **dict.fromkeys(("load_measure", "moments_array"), "measure"),
+    **dict.fromkeys(("DEFAULT_ORDER", "load_measure", "moments_array"), "measure"),
     **dict.fromkeys(("DISAGREEMENT", "is_s_carleson"), "carleson"),
-    **dict.fromkeys(("DEFAULT_ORDER", "PowerSeries", "cesaro_mu_s", "coefficients_text",
-                     "read_coefficients"), "series"),
+    **dict.fromkeys(("PowerSeries", "cesaro_mu_s", "coefficients_text", "read_coefficients"),
+                    "series"),
     **dict.fromkeys(("bloch_seminorm", "hinf_norm", "lambda_norm", "qp_seminorm"), "spaces"),
     "run_all": "harness",
 }
@@ -55,21 +55,7 @@ _RECORDS = {
 }
 
 
-def _bind(names) -> None:
-    """Bind each layer name among ``names`` here; one already bound stays bound,
-    so a name a caller replaced (``bench/tracer.py`` wraps some) keeps its wrapper."""
-    for name in names:
-        if name in _LAYER:
-            module = importlib.import_module(f"cesaro.{_LAYER[name]}")
-            globals().setdefault(name, getattr(module, name))
-
-
-def __getattr__(name: str):
-    # a caller that looks a layer name up on this module gets every layer bound
-    if name not in _LAYER:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_LAYER)
-    return globals()[name]
+_bind, __getattr__ = layer_binding(globals(), _LAYER)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -275,12 +261,16 @@ def run() -> int:
 
     Everything imported by the time the command runs, its layers included,
     lives until exit, so it is frozen out of the collector: no later
-    collection, and none at interpreter shutdown, walks it again.  ``main``
+    collection, and none at interpreter shutdown, walks it again.  What the
+    command still holds when it returns, such as the layers a ``verify``
+    scenario binds as it runs, is frozen then for the same reason.  ``main``
     itself stays free of process-wide side effects.
     """
     args = _parse(None)
     gc.freeze()
-    return args if isinstance(args, int) else _dispatch(args)
+    code = args if isinstance(args, int) else _dispatch(args)
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -17,11 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import check_real
-from .measure import Atomic, Lebesgue, MeasureSpec, Mixture, PowerDensity
-from .series import DEFAULT_ORDER, PowerSeries
+from .measure import DEFAULT_ORDER, Atomic, Lebesgue, MeasureSpec, Mixture, PowerDensity
 
 __all__ = [
     "LabeledMeasure",
@@ -93,6 +90,10 @@ def corpus_entry(name: str) -> LabeledMeasure:
 
 def blaschke_factor(a: complex) -> PowerSeries:
     """Series of ``(a - z)/(1 - conj(a) z)`` to ``DEFAULT_ORDER``, unit modulus on the boundary."""
+    import numpy as np  # only the test functions need it; the corpus measures run without
+
+    from .series import PowerSeries
+
     a = complex(a)
     check_real("|a|", abs(a), 0, 1, closed=True)
     coeffs = np.empty(DEFAULT_ORDER + 1, dtype=np.complex128)
@@ -104,6 +105,10 @@ def blaschke_factor(a: complex) -> PowerSeries:
 
 def bounded_test_functions() -> tuple[tuple[str, PowerSeries], ...]:
     """Named sup-norm-1 test functions used by the range scenarios."""
+    import numpy as np
+
+    from .series import PowerSeries
+
     one = PowerSeries.constant(1.0)
     cube = PowerSeries.monomial(3)
     factor = blaschke_factor(0.5)

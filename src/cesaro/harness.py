@@ -29,6 +29,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
+from .binding import layer_binding
 from .carleson import (
     CARLESON,
     NOT_CARLESON,
@@ -37,13 +38,11 @@ from .carleson import (
     is_s_carleson,
     kernel_integral,
 )
-from .corpus import bounded_test_functions, corpus_entry, labeled_corpus
+from .corpus import corpus_entry, labeled_corpus
 from .errors import ParameterError
-from .measure import Lebesgue, MeasureSpec, PowerDensity, measure_to_dict
+from .measure import DEFAULT_ORDER, Lebesgue, MeasureSpec, PowerDensity, measure_to_dict
 # bench/tracer.py wraps quad_measure under every module that imports it
 from .numerics import quad_measure  # noqa: F401
-from .series import DEFAULT_ORDER, PowerSeries, cesaro_mu, cesaro_mu_s, kernel_series
-from .spaces import bloch_seminorm, coeff_decay_test, lambda_norm, qp_seminorm
 
 __all__ = [
     "CheckRecord",
@@ -72,6 +71,17 @@ LOG_SERIES_ORDER = DEFAULT_ORDER
 QP_P_VALUES = (1.0, 1.5)
 # lambda-range (s, p) cases, each with p > max(1, 1/s)
 LAMBDA_CASES = ((0.5, 3.0), (1.0, 2.0))
+
+# the names that load NumPy, by the layer each comes from; each scenario that
+# reads them binds them first, so the battery scenarios run without NumPy
+_LAYER = {
+    **dict.fromkeys(("PowerSeries", "cesaro_mu", "cesaro_mu_s", "kernel_series"), "series"),
+    **dict.fromkeys(("bloch_seminorm", "coeff_decay_test", "lambda_norm", "qp_seminorm"),
+                    "spaces"),
+    "bounded_test_functions": "corpus",
+}
+
+_bind, __getattr__ = layer_binding(globals(), _LAYER)
 
 
 @dataclass(frozen=True)
@@ -223,6 +233,7 @@ _ENERGY_BAND = (0.64, 0.70)
 
 def run_log_series() -> ScenarioReport:
     """The averaged constant is the truncated ``log(1/(1-z))/z``."""
+    _bind(_LAYER)
     order = LOG_SERIES_ORDER
     mu = Lebesgue()
     g = cesaro_mu(PowerSeries.constant(1.0), mu, order)
@@ -286,6 +297,7 @@ def run_log_series() -> ScenarioReport:
 
 def run_kernel_membership() -> ScenarioReport:
     """Kernel-series decay answers the same question as the criterion battery."""
+    _bind(_LAYER)
     entries = labeled_corpus()
     order = 1 << 14
     checks, traces = [], []
@@ -326,6 +338,7 @@ def run_qp_range() -> ScenarioReport:
     condition, already the transform of the constant 1 has coefficients
     decaying too slowly for any of the target spaces.
     """
+    _bind(_LAYER)
     necessity_order = 1 << 12
     mu_pos = Lebesgue()
     mu_neg = corpus_entry("dyadic_half_at_1").measure
@@ -391,6 +404,7 @@ def run_qp_range() -> ScenarioReport:
 
 def run_lambda_range() -> ScenarioReport:
     """Mean-Lipschitz analog of the range scenario, with the s = 1 reduction."""
+    _bind(_LAYER)
     necessity_order = 1 << 14
     necessity_for = {0.5: "dyadic_quarter_at_half", 1.0: "dyadic_half_at_1"}
     checks, traces = [], []

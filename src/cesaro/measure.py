@@ -24,6 +24,7 @@ __all__ = [
     "Lebesgue",
     "Mixture",
     "MeasureSpec",
+    "DEFAULT_ORDER",
     "MAX_ORDER",
     "check_order",
     "moments_array",
@@ -97,6 +98,8 @@ MeasureSpec = Union[Atomic, PowerDensity, Lebesgue, Mixture]
 MAX_NESTING = 32
 
 
+# truncation order of a transform or test function that names none
+DEFAULT_ORDER = 400
 # deepest truncation order a moment table or transform may ask for
 MAX_ORDER = 1 << 20
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericsError, ParameterError, check_real
-from .measure import MeasureSpec, check_order, moments_array
+from .measure import DEFAULT_ORDER, MeasureSpec, check_order, moments_array
 # bench/tracer.py wraps quad_measure under every module that imports it
 from .numerics import quad_measure  # noqa: F401
 
@@ -34,8 +34,6 @@ __all__ = [
     "read_coefficients",
     "coefficients_text",
 ]
-
-DEFAULT_ORDER = 400
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:

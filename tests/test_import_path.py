@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from cesaro import cli
+from cesaro.harness import SCENARIOS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -128,6 +129,9 @@ def test_both_launchers_freeze_the_import_heap_through_one_entry():
     assert int(frozen) > 1000
 
 
+# the scenarios that run only the criterion battery, without NumPy
+BATTERY_SCENARIOS = ("equivalence", "divergent-integral")
+
 # what start-up can load: NumPy and every layer that imports it
 HEAVY = {"numpy", "measure", "numerics", "series", "carleson", "spaces", "harness", "corpus"}
 # what a command loads through its layers and a bare ``cli`` never needs
@@ -171,13 +175,20 @@ LEBESGUE = str(MEASURES / "lebesgue.json")
          {"numpy", "measure", "numerics", "series"} | STDLIB),
         (["seminorm", "--space", "hinf", "--input", "{coeffs}"], 0,
          {"numpy", "measure", "numerics", "series", "spaces"} | STDLIB),
+        (["verify", "--scenario", "equivalence"], 0,
+         {"measure", "numerics", "carleson", "corpus", "harness"} | STDLIB),
+        (["verify", "--scenario", "divergent-integral"], 0,
+         {"measure", "numerics", "carleson", "corpus", "harness"} | STDLIB),
+        (["verify", "--scenario", "log-series"], 0, HEAVY | STDLIB),
     ],
-    ids=["help", "transform-help", "usage-error", "carleson", "transform", "seminorm"],
+    ids=["help", "transform-help", "usage-error", "carleson", "transform", "seminorm",
+         "verify-equivalence", "verify-divergent-integral", "verify-log-series"],
 )
 def test_each_call_loads_only_its_command_layers(argv, code, loads, coeffs_file):
     # --help and usage errors run no layer and load neither dataclasses nor json;
     # carleson skips NumPy, spaces, series and the harness, transform skips spaces
-    # and carleson, seminorm skips carleson
+    # and carleson, seminorm skips carleson; the two battery scenarios skip NumPy,
+    # series and spaces, which log-series runs
     argv = [arg.replace("{coeffs}", coeffs_file) for arg in argv]
     assert _entry_run(argv)[::2] == (code, loads)
 
@@ -198,14 +209,33 @@ def _import_time_modules(path: Path) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize("layer", ["measure", "numerics", "carleson", "harness"])
+@pytest.mark.parametrize("layer", ["measure", "numerics", "carleson", "harness", "corpus"])
 def test_battery_layers_import_no_numpy_at_module_level(layer):
     # the carleson command loads only the first three; NumPy may load inside a
     # function that only other commands call (measure.moments_array).  The
-    # harness reaches NumPy only through the series and spaces layers it runs
+    # harness and corpus reach NumPy only inside the functions that need it
     imported = _import_time_modules(SRC / "cesaro" / f"{layer}.py")
     assert "errors" in imported
     assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+
+
+@pytest.mark.parametrize("layer", ["harness", "corpus"])
+def test_scenario_layers_import_no_series_or_spaces_at_module_level(layer):
+    # both load NumPy; a scenario binds what it reads of them when it runs
+    imported = _import_time_modules(SRC / "cesaro" / f"{layer}.py")
+    assert {"series", "spaces"}.intersection(imported) == set()
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_each_scenario_runs_when_called_directly(scenario):
+    # one fresh process per scenario, called without run_all: a name the
+    # scenario reads but does not bind fails here, whatever ran before it in-process
+    (line,) = _fresh_run(
+        "import sys; from cesaro import harness\n"
+        f"report = harness.SCENARIOS[{scenario!r}]()\n"
+        "print(report.scenario, report.passed, 'numpy' in sys.modules)"
+    )
+    assert line.split() == [scenario, "True", str(scenario not in BATTERY_SCENARIOS)]
 
 
 def test_cli_imports_no_dataclasses_or_json_at_module_level():
@@ -228,7 +258,9 @@ def test_serializer_refuses_a_non_record_without_loading_a_layer():
 
 def test_a_command_freezes_its_layers_and_main_freezes_nothing():
     # the entry freezes after binding the command's layers, so a transform call
-    # freezes NumPy's objects beyond what --help freezes; in-process main freezes none
+    # freezes NumPy's objects beyond what --help freezes; a log-series scenario
+    # loads NumPy as it runs, and the entry freezes again when the command
+    # returns, so that no exit collection walks it; in-process main freezes none
     (numpy_objects,) = _fresh_run(
         "import gc; gc.disable(); import cesaro.cli; cesaro.cli._build_parser(); gc.freeze(); "
         "before = gc.get_freeze_count(); import numpy; gc.freeze(); "
@@ -237,6 +269,8 @@ def test_a_command_freezes_its_layers_and_main_freezes_nothing():
     transform = ["transform", "--measure", LEBESGUE, "--constant", "1"]
     help_frozen = _entry_run(["--help"])[1]
     assert _entry_run(transform)[1] - help_frozen >= int(numpy_objects)
+    log_series = ["verify", "--scenario", "log-series"]
+    assert _entry_run(log_series)[1] - help_frozen >= int(numpy_objects)
     assert _entry_run(transform, f"main({transform!r})")[:2] == (0, 0)
 
 

@@ -26,6 +26,13 @@ ROOT = Path(__file__).resolve().parents[1]
              "numerics.quad_measure"],
         ),
         (["verify", "--scenario", "divergent-integral"], ["numerics.quad_measure"]),
+        (["verify", "--scenario", "equivalence"], ["carleson.is_s_carleson"]),
+        # ``harness`` binds these layer names per scenario; the tracer must still reach them
+        (
+            ["verify", "--scenario", "lambda-range"],
+            ["series.cesaro_mu_s", "series.kernel_series", "spaces.lambda_norm",
+             "spaces.bloch_seminorm"],
+        ),
         # ``cli`` binds these layer names per call; the tracer must still reach them
         (
             ["transform", "--measure", str(ROOT / "measures" / "lebesgue.json"),
@@ -37,7 +44,8 @@ ROOT = Path(__file__).resolve().parents[1]
             ["series.read_coefficients", "spaces.hinf_norm"],
         ),
     ],
-    ids=["carleson", "divergent-integral", "transform", "seminorm-hinf"],
+    ids=["carleson", "divergent-integral", "equivalence", "lambda-range", "transform",
+         "seminorm-hinf"],
 )
 def test_traced_call_reaches_wrapped_functions(tmp_path, argv, spans):
     (tmp_path / "f.txt").write_text("1.0 0.0\n0.5 0.0\n")
