@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import truediv
 
 from .errors import NumericsError, ParameterError, check_int, check_real
-from .measure import Atomic, Lebesgue, MeasureSpec, Mixture, PowerDensity, tail_mass, total_mass
+from .measure import MeasureSpec, moment, tail_mass, total_mass
 # bench/tracer.py wraps moments_array under every module that imports it
 from .measure import moments_array  # noqa: F401
 from .numerics import (
@@ -124,37 +123,15 @@ def box_test(mu: MeasureSpec, s: float, depth: int = 18) -> GrowthReport:
     return classify_growth(values, range(1, depth + 1))
 
 
-def _dyadic_moments(mu: MeasureSpec, top: int) -> list[float]:
-    """``mu_n`` at ``n = 2**j``, ``j = 0 .. top``, by the closed forms of
-    ``moments_array``, term for term in the same order."""
-    ns = [1 << j for j in range(top + 1)]
-    if isinstance(mu, Atomic):
-        return [sum(w * p ** n for p, w in zip(mu.points, mu.weights)) for n in ns]
-    if isinstance(mu, Lebesgue):
-        return [1.0 / (n + 1.0) for n in ns]
-    if isinstance(mu, PowerDensity):
-        # the running product mu_n = mu_{n-1} * n / (n + alpha + 1): a Gamma
-        # ratio by lgamma would cancel to 3e-11 at n = 2**14
-        shift, out = mu.alpha + 1.0, [mu.scale / (mu.alpha + 1.0)]
-        for n in ns:
-            steps = range(n // 2 + 1, n + 1)
-            out.append(math.prod(map(truediv, steps, map(shift.__radd__, steps)), start=out[-1]))
-        return out[1:]
-    if isinstance(mu, Mixture):
-        return [sum(col) for col in zip(*(_dyadic_moments(part, top) for part in mu.components))]
-    raise ParameterError(f"not a measure: {mu!r}")
-
-
 def moment_test(mu: MeasureSpec, s: float) -> GrowthReport:
-    """Trace ``(1+n)**s * mu_n`` along ``n = 2**j``, ``j <= MOMENT_TOP``.
+    """Trace ``(1+n)**s * mu_n`` at the 15 levels ``n = 2**0 .. 2**14``, at any depth.
 
     The moments of an s-Carleson measure decay like ``(1+n)**-s``, so the
     trace stays bounded exactly on the Carleson side.
     """
     s, _ = _check_args(s, MOMENT_TOP)
-    mus = _dyadic_moments(mu, MOMENT_TOP)
     levels = range(MOMENT_TOP + 1)
-    values = [(1.0 + (1 << j)) ** s * m for j, m in zip(levels, mus)]
+    values = [(1.0 + (1 << j)) ** s * moment(mu, 1 << j) for j in levels]
     return classify_growth(values, levels)
 
 

@@ -189,7 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="interior singularity exponent for the real kernel (default s/2)",
     )
-    p_car.add_argument("--depth", type=int, default=18, help="dyadic probe depth, 4 to 52")
+    p_car.add_argument("--depth", type=int, default=18, help="dyadic probe depth, 4 to 52 "
+                       "(the moment trace always has the 15 levels n = 2^0 .. 2^14)")
     p_car.add_argument("--out", help="write JSON here instead of stdout")
     p_car.add_argument("--trace-dir", help="write per-criterion CSV traces here")
     p_car.set_defaults(func=_cmd_carleson)

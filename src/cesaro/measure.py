@@ -27,6 +27,7 @@ __all__ = [
     "DEFAULT_ORDER",
     "MAX_ORDER",
     "check_order",
+    "moment",
     "moments_array",
     "tail_mass",
     "total_mass",
@@ -109,29 +110,50 @@ def check_order(n: int) -> int:
     return check_int("order", n, 0, MAX_ORDER)
 
 
-def moments_array(mu: MeasureSpec, order: int):
-    """Moments ``mu_0 .. mu_order`` as a NumPy float array, by closed form."""
-    import numpy as np  # only the moment tables need it; the battery runs without
-    order = check_order(order)
-    n = np.arange(order + 1, dtype=float)
-    if isinstance(mu, Atomic):
-        # one atom at a time keeps memory at a few order-length arrays;
-        # 0**0 = 1 by numpy convention, which is the right mu_0 here
-        total = np.zeros(order + 1)
-        for p, w in zip(mu.points, mu.weights):
-            total += w * p ** n
-        return total
+_CHUNK = 1 << 14  # entries per ``moment`` call in moments_array: temporaries stay small
+
+
+def _stirling_rest(x, xp):
+    """``log Gamma(x+1) - (x + 1/2) log x + x``: by ``lgamma`` for a number below 10, else
+    by Stirling's series to ``x**-11``, whose next term is below 7e-16 from 10 on."""
+    if xp is math and x < 10:
+        return math.lgamma(x + 1.0) - (x + 0.5) * math.log(x) + x
+    z = 1.0 / x
+    zz = z * z
+    return 0.5 * math.log(2.0 * math.pi) + z * (1 / 12 - zz * (1 / 360 - zz * (
+        1 / 1260 - zz * (1 / 1680 - zz * (1 / 1188 - zz * (691 / 360360))))))
+
+
+def _log_ratio(n, b: float, xp):
+    """``log Gamma(n+1) + log Gamma(b+1) - log Gamma(n+b+1)``, ``n`` as for ``moment``, in
+    ``log1p(b/n)`` and ``log1p(n/b)``: no terms cancel whichever of ``n``, ``b`` is larger."""
+    if xp is not math and n.size and n[0] < 10:  # entries below 10 one at a time, as numbers
+        head = [_log_ratio(k, b, math) for k in n[:10].tolist()]
+        return xp.concatenate((head, _log_ratio(n[10:], b, xp)))
+    return 0.0 if xp is math and n == 0 else (
+        _stirling_rest(n, xp) + _stirling_rest(b, math) - _stirling_rest(n + b, xp)
+        + 0.5 * xp.log(n + b) - (n + 0.5) * xp.log1p(b / n) - (b + 0.5) * xp.log1p(n / b))
+
+
+def moment(mu: MeasureSpec, n, xp=math):
+    """``mu_n`` by its type's closed form: at a number ``n`` with ``xp = math``, or with
+    ``xp = numpy`` at each entry of a strictly increasing array of whole numbers ``n``."""
+    if isinstance(mu, Atomic):  # 0**0 = 1 in Python and NumPy alike: the right mu_0
+        return sum(w * p ** n for p, w in zip(mu.points, mu.weights))
     if isinstance(mu, Lebesgue):
         return 1.0 / (n + 1.0)
-    if isinstance(mu, PowerDensity):
-        # mu_n = mu_{n-1} * n / (n + alpha + 1) from mu_0 = scale / (alpha + 1)
-        return np.cumprod(np.where(n > 0, n / (n + (mu.alpha + 1.0)), mu.scale / (mu.alpha + 1.0)))
+    if isinstance(mu, PowerDensity):  # mu_0 = scale / (alpha + 1) exactly
+        return mu.scale / (mu.alpha + 1.0) * xp.exp(_log_ratio(n, mu.alpha + 1.0, xp))
     if isinstance(mu, Mixture):
-        total = np.zeros(order + 1)
-        for part in mu.components:
-            total += moments_array(part, order)
-        return total
+        return sum(moment(part, n, xp) for part in mu.components)
     raise ParameterError(f"not a measure: {mu!r}")
+
+
+def moments_array(mu: MeasureSpec, order: int):
+    """Moments ``mu_0 .. mu_order`` as a NumPy float array, by ``moment``."""
+    import numpy as np  # only the moment tables need it; the battery runs without
+    n = np.arange(check_order(order) + 1, dtype=float)
+    return np.concatenate([moment(mu, n[i:i + _CHUNK], np) for i in range(0, n.size, _CHUNK)])
 
 
 def tail_mass(mu: MeasureSpec, t: float) -> float:

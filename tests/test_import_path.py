@@ -290,11 +290,12 @@ def _peak_rss_mb(argv: list[str]) -> float:
     return int(maxrss) / 1024.0  # kilobytes on Linux
 
 
-def test_moments_csv_is_written_without_holding_its_text():
+@pytest.mark.parametrize("name", ["lebesgue.json", "power_density_half.json"])
+def test_moments_csv_is_written_without_holding_its_text(name):
     # 2**20 + 1 rows are about 25 MB of CSV text; written a chunk of rows at
     # a time, the call peaks at the moment arrays: at most five order-length
     # float arrays (40 MB) above a tiny call
-    measure = str(MEASURES / "lebesgue.json")
+    measure = str(MEASURES / name)
     big = _peak_rss_mb(["moments", "--measure", measure, "--n", str(1 << 20)])
     small = _peak_rss_mb(["moments", "--measure", measure, "--n", "16"])
     assert big - small < 40.0, (big, small)

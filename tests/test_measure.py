@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -21,12 +22,19 @@ from cesaro.measure import (
     load_measure,
     measure_from_dict,
     measure_to_dict,
+    moment,
     moments_array,
     tail_mass,
     total_mass,
 )
 
 from conftest import any_measures
+
+
+def _close_to_oracle(got: float, expected: float, alpha: float) -> bool:
+    # rel 1e-13 to alpha = 10 and 1e-12 above, as far as normal floats reach
+    rel = 1e-13 if alpha <= 10.0 else 1e-12
+    return math.isclose(got, expected, rel_tol=rel, abs_tol=rel * sys.float_info.min)
 
 
 class TestValidation:
@@ -131,13 +139,33 @@ class TestMoments:
 
     @pytest.mark.parametrize("alpha", [-0.95, -0.5, 0.0, 0.5, 1.5, 3.7, 40.0])
     def test_power_density_deep_moments_against_mpmath(self, alpha):
-        # the running product B(n+1, a+1) = B(n, a+1) n / (n+a+1) holds
-        # rtol 1e-10 out to n = 2**20, where exp(betaln) drifts to 1.1e-9
         mp.mp.dps = 40
         arr = moments_array(PowerDensity(alpha), 2 ** 20)
-        for n in (0, 1, 7, 100, 2 ** 10 + 3, 2 ** 14, 99_991, 2 ** 19 + 1, 2 ** 20):
+        for n in (0, 1, 7, 9, 10, 100, 2 ** 10 + 3, 2 ** 14 - 1, 2 ** 14, 99_991,
+                  2 ** 19 + 1, 2 ** 20):
             expected = float(mp.beta(n + 1, mp.mpf(alpha) + 1))
-            assert arr[n] == pytest.approx(expected, rel=1e-10), n
+            assert _close_to_oracle(arr[n], expected, alpha), n
+
+    @pytest.mark.parametrize(
+        "alpha", [-0.99, -0.9, -0.5, 0.0, 0.9091146638988871, 1.5, 3.7, 10.0, 40.0, 49.0]
+    )
+    def test_power_density_rule_against_mpmath_to_two_to_the_52(self, alpha):
+        # mpmath forms n + alpha + 2 itself: the float sum is 1e-10 off at n = 2**20
+        mp.mp.dps = 40
+        mu = PowerDensity(alpha, scale=1.5)
+        for j in range(53):
+            n = 1 << j
+            expected = float(mp.mpf("1.5") * mp.beta(n + 1, mp.mpf(alpha) + 1))
+            assert _close_to_oracle(moment(mu, n), expected, alpha), j
+
+    @given(st.floats(-0.999, 60.0), st.floats(0.1, 5.0), st.integers(0, 52))
+    def test_power_density_rule_against_mpmath(self, alpha, scale, j):
+        mp.mp.dps = 40
+        mu = PowerDensity(alpha, scale)
+        assert moment(mu, 0) == moments_array(mu, 0)[0] == scale / (alpha + 1.0)
+        n = 1 << j
+        expected = float(mp.mpf(scale) * mp.beta(n + 1, mp.mpf(alpha) + 1))
+        assert _close_to_oracle(moment(mu, n), expected, alpha), n
 
     def test_huge_alpha_stays_finite(self):
         arr = moments_array(PowerDensity(1e308), 4)
