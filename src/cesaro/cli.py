@@ -2,16 +2,15 @@
 
 Subcommands::
 
-    moments    tabulate measure moments as CSV
     carleson   run the criterion battery on a measure file
-    transform  apply the averaging transform to a coefficient file
+    transform  apply the averaging transform to a coefficient file or a constant
     seminorm   estimate a growth-space seminorm of a coefficient file
     verify     run named scenarios and emit a JSON report
 
 Exit codes: 0 success, 1 scenario failure, 2 usage or validation error,
 3 numeric non-convergence (including a battery disagreement).
 
-JSON goes to stdout unless ``--out`` names a file; ``--trace-dir``
+Output goes to stdout unless ``--out`` names a file; ``--trace-dir``
 additionally writes one ``level,value`` CSV per trace.  All output is
 deterministic: repeated runs with the same inputs are byte-identical.
 """
@@ -35,7 +34,7 @@ SCHEMA_VERSION = 1
 # the layer each name the commands read comes from; a call binds only the
 # names its command reads, so ``--help`` and usage errors load no layer
 _LAYER = {
-    **dict.fromkeys(("DEFAULT_ORDER", "load_measure", "moments_array"), "measure"),
+    **dict.fromkeys(("DEFAULT_ORDER", "load_measure"), "measure"),
     **dict.fromkeys(("DISAGREEMENT", "is_s_carleson"), "carleson"),
     **dict.fromkeys(("PowerSeries", "cesaro_mu_s", "coefficients_text", "read_coefficients"),
                     "series"),
@@ -58,11 +57,13 @@ _RECORDS = {
 _bind, __getattr__ = layer_binding(globals(), _LAYER)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+def _output(out: str | None):
+    """stdout, or the file ``out`` opened for writing, as a context manager."""
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
+
+
+def _emit(text: str, stream) -> None:  # stdout or --out; bench/tracer.py counts the bytes
+    stream.write(text)
 
 
 def _record_dict(record) -> dict:
@@ -76,7 +77,9 @@ def _record_dict(record) -> dict:
 
 def _emit_json(payload: dict, out: str | None) -> None:
     import json  # loaded already by every command that writes JSON; --help skips it
-    _emit(json.dumps(payload, indent=2, sort_keys=True, default=_record_dict) + "\n", out)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_record_dict) + "\n"
+    with _output(out) as stream:
+        _emit(text, stream)
 
 
 def _trace_csv(levels: Sequence[int], values: Sequence[float]) -> str:
@@ -90,18 +93,6 @@ def _write_traces(trace_dir: str, named: Sequence[tuple[str, Sequence[int], Sequ
     root.mkdir(parents=True, exist_ok=True)
     for name, levels, values in named:
         (root / f"{name}.csv").write_text(_trace_csv(levels, values), encoding="utf-8")
-
-
-def _cmd_moments(args: argparse.Namespace) -> int:
-    mu = load_measure(args.measure)
-    values = moments_array(mu, args.n)
-    rows = 1 << 16  # CSV rows per write: the text in memory stays a few MB at any --n
-    with (contextlib.nullcontext(sys.stdout) if args.out is None
-          else open(args.out, "w", encoding="utf-8")) as stream:
-        for start in range(0, values.size, rows):
-            chunk = values[start:start + rows].tolist()
-            stream.write("".join(f"{n},{v!r}\n" for n, v in enumerate(chunk, start)))
-    return 0
 
 
 def _cmd_carleson(args: argparse.Namespace) -> int:
@@ -126,8 +117,10 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     else:
         f = PowerSeries.constant(args.constant)
     order = DEFAULT_ORDER if args.order is None else args.order
-    g = cesaro_mu_s(f, mu, args.s, order)
-    _emit(coefficients_text(g), args.out)
+    g = cesaro_mu_s(f, mu, args.s, order)  # before --out opens, so a refusal leaves it alone
+    with _output(args.out) as stream:
+        for piece in coefficients_text(g):
+            _emit(piece, stream)
     return 0
 
 
@@ -172,12 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Averaging transforms, tail criteria, and growth-space seminorms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mom = sub.add_parser("moments", help="tabulate measure moments as CSV")
-    p_mom.add_argument("--measure", required=True, help="measure JSON file")
-    p_mom.add_argument("--n", type=int, required=True, help="highest moment index")
-    p_mom.add_argument("--out", help="write CSV here instead of stdout")
-    p_mom.set_defaults(func=_cmd_moments)
 
     p_car = sub.add_parser("carleson", help="run the tail-criterion battery")
     p_car.add_argument("--measure", required=True, help="measure JSON file")

@@ -140,9 +140,11 @@ def cesaro_mu_s(
     """Weighted transform ``b_n = mu_n sum_k gamma_ratio(n-k, s) a_k``, in O(len f * order)."""
     order = check_order(order)
     with np.errstate(over="ignore", invalid="ignore"):
-        kern = gamma_ratio(np.arange(order + 1), s)
-        mixed = np.convolve(f.coeffs[: order + 1], kern)[: order + 1]
-        return _finite_series(moments_array(mu, order) * mixed)
+        # peak memory: the kernel dies as the convolution returns; the moments multiply in place
+        mixed = np.convolve(f.coeffs[: order + 1], gamma_ratio(np.arange(order + 1), s))
+        mixed = mixed[: order + 1]
+        mixed *= moments_array(mu, order)
+        return _finite_series(mixed)
 
 
 def kernel_series(mu: MeasureSpec, s: float, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -181,5 +183,8 @@ def read_coefficients(path: str | Path) -> PowerSeries:
     return PowerSeries(np.asarray(coeffs))
 
 
-def coefficients_text(f: PowerSeries) -> str:
-    return "".join(f"{float(c.real)!r} {float(c.imag)!r}\n" for c in f.coeffs)
+def coefficients_text(f: PowerSeries):
+    """The ``<re> <im>`` lines of ``f`` in pieces of 65,536: a few MB of text at any order."""
+    step = 1 << 16
+    for start in range(0, f.coeffs.size, step):
+        yield "".join(f"{c.real!r} {c.imag!r}\n" for c in f.coeffs[start:start + step].tolist())

@@ -75,7 +75,7 @@ def run_calls(argvs: list[list[str]], work: Path) -> list[dict]:
     The output is what the call wrote to ``--out``, or else to stdout.
     """
     for name, f in bounded_test_functions():
-        (work / f"{name}.txt").write_text(coefficients_text(f), encoding="utf-8")
+        (work / f"{name}.txt").write_text("".join(coefficients_text(f)), encoding="utf-8")
     results = []
     for argv in argvs:
         args = [arg.format(root=ROOT, work=work) for arg in argv]

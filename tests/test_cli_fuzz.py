@@ -1,11 +1,10 @@
-"""Fuzz of the input boundaries: files through ``moments`` and ``seminorm``,
-flags through ``moments``, ``carleson``, ``transform``, ``seminorm`` and
-``verify``.
+"""Fuzz of the input boundaries: files through ``transform`` and ``seminorm``,
+flags through ``carleson``, ``transform``, ``seminorm`` and ``verify``.
 
 Generated measure JSON (nested mixtures, wrong types, huge, NaN or
-negative numbers, missing fields) must either print finite moments and
-exit 0, or exit 2 or 3 with a one-line message.  Generated coefficient
-files (huge, tiny, negative, ``nan`` and ``inf`` tokens, wrong token
+negative numbers, missing fields) must either print finite moments (the
+transform of 1) and exit 0, or exit 2 or 3 with a one-line message.
+Generated coefficient files (huge, tiny, negative, ``nan`` and ``inf`` tokens, wrong token
 counts, blank lines, comments, bytes that are not UTF-8) must exit 0
 with a converged, finite estimate, or 2 or 3 with at most one line on
 stderr.  Generated command lines (every numeric flag at 0, negative,
@@ -71,18 +70,18 @@ def _wrap(measure, levels: int):
 
 @settings(max_examples=400)
 @given(measure=measures, levels=st.sampled_from([0, 0, 0, 1, 31, 32, 40]))
-def test_moments_on_generated_measure_json(measure, levels, tmp_path_factory):
+def test_transform_of_one_on_generated_measure_json(measure, levels, tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "m.json"
     path.write_text(json.dumps(_wrap(measure, levels)))
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        code = main(["moments", "--measure", str(path), "--n", "3"])
+        code = main(["transform", "--measure", str(path), "--constant", "1", "--order", "3"])
     assert code in (0, 2, 3)
     if code == 0:
         rows = out.getvalue().splitlines()
         assert len(rows) == 4
-        assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
+        assert all(math.isfinite(float(tok)) for row in rows for tok in row.split())
     else:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1
@@ -162,10 +161,10 @@ def _flag(name: str, values: st.SearchStrategy) -> st.SearchStrategy:
 
 @st.composite
 def command_lines(draw):
-    command = draw(st.sampled_from(["moments", "carleson", "transform", "seminorm"]))
+    command = draw(st.sampled_from(["moment table", "carleson", "transform", "seminorm"]))
     measure = ["--measure", draw(measure_files)]
-    if command == "moments":
-        return [command, *measure, f"--n={draw(orders)}"]
+    if command == "moment table":  # the transform of 1 at a drawn order
+        return ["transform", *measure, "--constant=1", f"--order={draw(orders)}"]
     if command == "carleson":
         return [
             command,
@@ -212,7 +211,7 @@ def test_command_lines_with_edge_values(argv, coeffs_file):
         lines = lines[-1:]
     assert len(lines) <= 1
     text = out.getvalue()
-    if argv[0] in ("moments", "transform"):
+    if argv[0] == "transform":
         assert code != 0 or _finite_numbers(text)
     elif text:
         payload = json.loads(text)

@@ -2,12 +2,13 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from cesaro.cli import _record_dict, main
 from cesaro.errors import ParameterError
 from cesaro.measure import Lebesgue, load_measure, moments_array
-from cesaro.series import PowerSeries, cesaro_mu, coefficients_text
+from cesaro.series import PowerSeries, cesaro_mu, cesaro_mu_s, coefficients_text
 from cesaro.spaces import MP_MAX_ANGLES
 from cesaro.harness import (
     DIVERGENT_R_VALUES,
@@ -198,24 +199,49 @@ def _nested_mixture(levels: int) -> str:
 
 
 class TestCli:
-    def test_moments_csv(self, capsys):
-        code = main(["moments", "--measure", f"{MEASURES}/lebesgue.json", "--n", "4"])
+    def test_transform_of_one_prints_the_moments(self, capsys):
+        code = main(["transform", "--measure", f"{MEASURES}/lebesgue.json", "--constant", "1",
+                     "--order", "4"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out == "0,1.0\n1,0.5\n2,0.3333333333333333\n3,0.25\n4,0.2\n"
+        assert out == "1.0 0.0\n0.5 0.0\n0.3333333333333333 0.0\n0.25 0.0\n0.2 0.0\n"
 
-    @pytest.mark.parametrize("order", [0, 16, 70_000])  # 70_000 rows span two writes
+    @pytest.mark.parametrize("order", [0, 16, 70_000])  # 70_000 lines span two pieces
     @pytest.mark.parametrize("name", ["lebesgue", "dyadic_atoms", "power_density_half"])
-    def test_moments_csv_rows_match_one_string_format(self, name, order, tmp_path, capsys):
-        # the reference builds the whole CSV as one string, as the command once did
+    def test_transform_text_matches_one_string_format(self, name, order, tmp_path, capsys):
+        # the reference builds the whole text as one string, so a line dropped or
+        # repeated at a piece edge shows; at s = 1 the transform of 1 is exactly
+        # the moment table
         path = f"{MEASURES}/{name}.json"
-        moments = moments_array(load_measure(path), order)
-        want = "".join(f"{n},{float(v)!r}\n" for n, v in enumerate(moments))
-        out = tmp_path / "m.csv"
-        assert main(["moments", "--measure", path, "--n", str(order)]) == 0
-        assert main(["moments", "--measure", path, "--n", str(order), "--out", str(out)]) == 0
+        mu = load_measure(path)
+        g = cesaro_mu_s(PowerSeries.constant(1.0), mu, 1.0, order)
+        want = "".join(f"{float(c.real)!r} {float(c.imag)!r}\n" for c in g.coeffs)
+        assert np.array_equal(g.coeffs, moments_array(mu, order))
+        out = tmp_path / "g.txt"
+        argv = ["transform", "--measure", path, "--constant", "1", "--order", str(order)]
+        assert main(argv) == 0
+        assert main([*argv, "--out", str(out)]) == 0
         assert capsys.readouterr().out == want
         assert out.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--measure", "{M}/lebesgue.json", "--constant", "1e308", "--s", "3"], 3),
+         (["--measure", "{bad}", "--constant", "1"], 2)],
+        ids=["overflow", "bad_measure"],
+    )
+    def test_refused_transform_leaves_out_alone(self, argv, code, tmp_path, capsys):
+        bad = tmp_path / "m.json"
+        bad.write_text('{"type": "power_density", "alpha": -1}')
+        out = tmp_path / "g.txt"
+        out.write_bytes(b"kept\n")
+        argv = [arg.replace("{M}", MEASURES).replace("{bad}", str(bad)) for arg in argv]
+        assert main(["transform", *argv, "--out", str(out)]) == code
+        assert out.read_bytes() == b"kept\n"
+
+    def test_moments_is_no_command(self, capsys):
+        assert main(["moments", "--measure", f"{MEASURES}/lebesgue.json", "--n", "3"]) == 2
+        assert "invalid choice: 'moments'" in capsys.readouterr().err
 
     def test_transform_round_trips_through_files(self, tmp_path, capsys):
         out_file = tmp_path / "g.txt"
@@ -365,7 +391,8 @@ class TestCli:
 
     def test_seminorm_qp_small_p_is_exit_zero(self, tmp_path, capsys):
         coeff = tmp_path / "g.txt"
-        coeff.write_text(coefficients_text(cesaro_mu(PowerSeries.constant(1.0), Lebesgue(), 400)))
+        g = cesaro_mu(PowerSeries.constant(1.0), Lebesgue(), 400)
+        coeff.write_text("".join(coefficients_text(g)))
         code = main(["seminorm", "--space", "qp", "--p", "0.2", "--input", str(coeff)])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -397,7 +424,7 @@ class TestCli:
         path.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["moments", "--measure", str(path), "--n", "3"])
+            code = main(["transform", "--measure", str(path), "--constant", "1", "--order", "3"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -443,8 +470,6 @@ class TestCli:
              3, "overflow"),
             (["transform", "--measure", "{M}/lebesgue.json", "--constant", "1e308", "--s", "3"],
              3, "overflow"),
-            (["moments", "--measure", "{M}/lebesgue.json", "--n", "10000000000000"],
-             2, "order must be an integer in [0, 1048576]"),
             (["transform", "--measure", "{M}/lebesgue.json", "--constant", "1",
               "--order", "10000000000000"], 2, "order must be an integer in [0, 1048576]"),
         ],
@@ -462,13 +487,13 @@ class TestCli:
             "transform_s_negative",
             "transform_s_huge",
             "transform_constant_huge",
-            "moments_huge_order",
             "transform_huge_order",
         ],
     )
     def test_out_of_range_arguments_exit_with_one_line(self, argv, code, says, tmp_path, capsys):
         coeff = tmp_path / "g.txt"
-        coeff.write_text(coefficients_text(cesaro_mu(PowerSeries.constant(1.0), Lebesgue(), 400)))
+        g = cesaro_mu(PowerSeries.constant(1.0), Lebesgue(), 400)
+        coeff.write_text("".join(coefficients_text(g)))
         argv = [arg.replace("{M}", MEASURES).replace("{g}", str(coeff)) for arg in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

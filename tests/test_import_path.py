@@ -291,11 +291,13 @@ def _peak_rss_mb(argv: list[str]) -> float:
 
 
 @pytest.mark.parametrize("name", ["lebesgue.json", "power_density_half.json"])
-def test_moments_csv_is_written_without_holding_its_text(name):
-    # 2**20 + 1 rows are about 25 MB of CSV text; written a chunk of rows at
-    # a time, the call peaks at the moment arrays: at most five order-length
-    # float arrays (40 MB) above a tiny call
+def test_transform_text_is_written_without_holding_it(name):
+    # 2**20 + 1 lines are about 27 MB of text, written 65,536 lines at a time;
+    # the moments multiply into the convolution in place, so the call peaks
+    # inside np.convolve, which casts its float kernel to complex: under
+    # seven order-length float arrays (56 MB) above a tiny call
     measure = str(MEASURES / name)
-    big = _peak_rss_mb(["moments", "--measure", measure, "--n", str(1 << 20)])
-    small = _peak_rss_mb(["moments", "--measure", measure, "--n", "16"])
-    assert big - small < 40.0, (big, small)
+    argv = ["transform", "--measure", measure, "--constant", "1", "--order"]
+    big = _peak_rss_mb([*argv, str(1 << 20)])
+    small = _peak_rss_mb([*argv, "16"])
+    assert big - small < 56.0, (big, small)

@@ -149,7 +149,7 @@ def test_non_real_is_refused_as_given(call, x):
 def test_measure_file_out_of_range_is_one_line_exit_two(text, says, tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(text)
-    assert main(["moments", "--measure", str(path), "--n", "3"]) == 2
+    assert main(["transform", "--measure", str(path), "--constant", "1", "--order", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {says}\n"
