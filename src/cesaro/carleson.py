@@ -12,9 +12,10 @@ the resulting trace:
                          legal for ``0 <= r < s`` and ``t > 0``
 * ``disk_kernel_test``-- ``integral (1-|a|**2)**t / |1-conj(a) x|**(s+t)``
 
-Since ``|1 - conj(a) x| >= 1 - |a| x`` on [0, 1), each kernel sample is
-``(1-a)**t`` times one real ``kernel_integral`` at ``a = 1 - 2**-j``; the
-disk-kernel trace is the complex-boundary trace times ``(1+a)**t`` in ``[1, 2**t]``.
+Since ``|1 - conj(a) x| >= 1 - |a| x`` on [0, 1), each kernel sample is one
+real ``kernel_integral`` at ``a = 1 - 2**-j`` with the factor ``(1-a)**t``
+inside its integrand; the disk-kernel trace is the complex-boundary trace
+times ``(1+a)**t`` in ``[1, 2**t]``.
 
 For an s-Carleson measure all five stay bounded; otherwise all five grow.
 ``is_s_carleson`` runs the battery and reports the consensus.  Inner
@@ -68,8 +69,10 @@ DEPTH_RANGE = (4, 52)
 # moment_test samples n = 2**j for j = 0 .. MOMENT_TOP
 MOMENT_TOP = 14
 
-# traces to level J stay below mass * 2**((J+1)(s+t)) and kernel integrands
-# below mass * 2**(J(s+t) + 60): in float range for any mass below 2**60
+# traces to level J stay below mass * 2**((J+1)(s+t)).  A kernel integrand
+# carries its (1-a)**t per node, so it stays below 2**(J s); the mass and the
+# endpoint factor (1-x)**-r meet it only inside the sum, so a sample
+# overflows only where its own value leaves float range
 EXPONENT_BUDGET = 900
 
 
@@ -88,31 +91,33 @@ def _check_args(s: float, depth: int, t: float | None = None) -> tuple[float, fl
     return s, t
 
 
-def kernel_integral(mu: MeasureSpec, a: float, power: float, r: float) -> float:
-    """``integral (1-x)**-r (1-a x)**-power d mu(x)`` at a real probe ``0 <= a < 1``.
+def kernel_integral(mu: MeasureSpec, a: float, power: float, r: float, t: float = 0.0) -> float:
+    """``integral (1-a)**t (1-x)**-r (1-a x)**-power d mu(x)`` at a real probe ``0 <= a < 1``.
 
     The kernel is formed as ``(1-a) + a u`` in ``u = 1 - x``: ``1 - a`` is
     exact at the dyadic probes, so deep probes lose nothing to cancellation.
+    The factor ``(1-a)**t`` multiplies each node before the sum meets the
+    measure's mass, so however large the mass, the sum overflows only
+    where the sample itself leaves float range.
     A sample whose integral ``quad_measure`` refuses (a non-integrable
     endpoint exponent, or overflow) is ``+inf``, which is how a divergent
     criterion integral shows up in a trace.
     """
     gap, q = 1.0 - a, -power
+    factor = gap ** t
     try:
-        return float(quad_measure(lambda us: [(gap + a * u) ** q for u in us], mu,
+        return float(quad_measure(lambda us: [factor * (gap + a * u) ** q for u in us], mu,
                                   singular_exponent=r))
     except NumericsError:
         return math.inf
 
 
 def _kernel_trace(mu: MeasureSpec, s: float, t: float, r: float | None, depth: int):
-    # h(a) = (1-a)**t * kernel_integral(mu, a, s + t - r, r), r = s/2 unless given
+    # h(a) = kernel_integral(mu, a, s + t - r, r, t), r = s/2 unless given
     s, t = _check_args(s, depth, t)
     r = s / 2.0 if r is None else check_real("r", r, 0, s, closed=True)
     power = s + t - r
-    return sup_on_dyadic_boundary(
-        lambda a: (1.0 - a) ** t * kernel_integral(mu, a, power, r), depth=depth
-    )
+    return sup_on_dyadic_boundary(lambda a: kernel_integral(mu, a, power, r, t), depth=depth)
 
 
 def box_test(mu: MeasureSpec, s: float, depth: int = 18) -> GrowthReport:

@@ -41,6 +41,7 @@ from .carleson import (
 from .corpus import corpus_entry, labeled_corpus
 from .errors import ParameterError
 from .measure import DEFAULT_ORDER, Lebesgue, MeasureSpec, PowerDensity, measure_to_dict
+from .numerics import BOUNDED, DIVERGENT
 # bench/tracer.py wraps quad_measure under every module that imports it
 from .numerics import quad_measure  # noqa: F401
 
@@ -192,7 +193,7 @@ def run_divergent_integral() -> ScenarioReport:
     checks = [
         CheckRecord(
             name="box_certifies_measure",
-            expected="bounded",
+            expected=BOUNDED,
             observed=box.verdict,
         )
     ]
@@ -264,7 +265,7 @@ def run_log_series() -> ScenarioReport:
         ),
         CheckRecord(
             name="coefficient_decay_bounded",
-            expected="bounded",
+            expected=BOUNDED,
             observed=decay.verdict,
         ),
         CheckRecord(
@@ -309,7 +310,7 @@ def run_kernel_membership() -> ScenarioReport:
         checks.append(
             CheckRecord(
                 name=f"decay_matches_battery.{entry.name}",
-                expected="bounded" if expect_bounded else "divergent",
+                expected=BOUNDED if expect_bounded else DIVERGENT,
                 observed=decay.verdict,
             )
         )
@@ -455,7 +456,7 @@ def run_lambda_range() -> ScenarioReport:
         checks.append(
             CheckRecord(
                 name=f"necessity.s={s:g}.{neg_name}",
-                expected="divergent",
+                expected=DIVERGENT,
                 observed=decay.verdict,
             )
         )

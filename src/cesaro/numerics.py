@@ -5,6 +5,12 @@ measure on [0, 1), with an optional endpoint singularity at 1) and
 ``classify_growth`` (decide whether a trace sampled at dyadic levels
 ``j`` stays bounded or grows like ``2**(j*epsilon)``).
 
+``sup_rise`` is the one settle rule for every trace: the largest relative
+rise of the running supremum over the last few levels.  A seminorm
+estimate is ``converged`` when that rise over one level is at most
+``SUP_CONVERGENCE_RTOL``; a growth report records the rise over
+``RISE_WINDOW`` levels next to its slope verdict.
+
 Integrands see ``u = 1 - t``, so a kernel can form ``1 - a t = (1 - a) +
 a u`` without cancellation.  Density parts use one fixed rule:
 ``PANEL_NODES``-point Gauss-Legendre in ``s = -ln u`` on each of
@@ -19,6 +25,7 @@ panels.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from operator import mul
@@ -33,10 +40,13 @@ __all__ = [
     "PANEL_NODES",
     "EDGE",
     "GROWTH_THRESHOLD",
+    "SUP_CONVERGENCE_RTOL",
+    "RISE_WINDOW",
     "BOUNDED",
     "DIVERGENT",
     "quad_measure",
     "dyadic_radii",
+    "sup_rise",
     "GrowthReport",
     "classify_growth",
     "sup_on_dyadic_boundary",
@@ -44,8 +54,13 @@ __all__ = [
 
 PANELS, PANEL_OCTAVES, PANEL_NODES = 50, 2, 12
 EDGE = 0.5 ** (PANELS * PANEL_OCTAVES)
-# slope threshold in log-space per dyadic level: growth below 2**(0.1*j) is noise
+# slope threshold in log-space per dyadic level, the battery's growth resolution:
+# growth below 2**(0.1*j) over the trailing half of a trace reads as bounded
 GROWTH_THRESHOLD = 0.1 * math.log(2.0)
+# a seminorm trace has settled when its running supremum rose by at most this
+# share over the last level; a growth report records its rise over RISE_WINDOW levels
+SUP_CONVERGENCE_RTOL = 0.02
+RISE_WINDOW = 3
 
 BOUNDED = "bounded"
 DIVERGENT = "divergent"
@@ -145,6 +160,31 @@ def dyadic_radii(depth: int, start_level: int = 1) -> list[float]:
     return [1.0 - 0.5 ** j for j in range(start_level, depth + 1)]
 
 
+def sup_rise(values: Sequence[float], window: int) -> tuple[float, int]:
+    """Largest relative rise of the running supremum over the last ``window`` steps.
+
+    Returns ``(rise, k)`` with ``k`` the index into ``values`` where that
+    rise happened; ties go to the later index.  The step into index ``k``
+    rises by ``(run[k] - run[k-1]) / |run[k]|`` for the running supremum
+    ``run``, and by 0 where ``run[k]`` is 0.  Any non-finite sample makes
+    the rise ``inf``, at the first such index.  A one-sample trace has
+    nothing to rise over: its rise is 0 at index 0.  An empty trace raises
+    ``ParameterError``.
+    """
+    if not values:
+        raise ParameterError("an empty trace has no running supremum")
+    for k, v in enumerate(values):
+        if not math.isfinite(v):
+            return math.inf, k
+    run = list(itertools.accumulate(values, max))
+    rise, at = 0.0, len(run) - 1
+    for k in range(max(1, len(run) - window), len(run)):
+        step = (run[k] - run[k - 1]) / abs(run[k]) if run[k] else 0.0
+        if step >= rise:
+            rise, at = step, k
+    return rise, at
+
+
 @dataclass(frozen=True)
 class GrowthReport:
     """Outcome of fitting ``log S_j`` against the dyadic level ``j``.
@@ -152,7 +192,8 @@ class GrowthReport:
     ``exponent`` is the fitted growth ``epsilon`` in ``S_j ~ 2**(j*epsilon)``
     (``slope / log 2``); the verdict is ``bounded`` when the slope over the
     trailing half of the trace stays under ``threshold``.  Both follow
-    from ``slope``.
+    from ``slope``.  ``rise`` and ``rise_level`` are ``sup_rise`` over the
+    last ``rise_window`` levels of ``values``; they do not enter the verdict.
     """
 
     levels: tuple[int, ...]
@@ -162,10 +203,16 @@ class GrowthReport:
     exponent: float = field(init=False)
     verdict: str = field(init=False)
     threshold: float = field(init=False, default=GROWTH_THRESHOLD)
+    rise: float = field(init=False)
+    rise_level: int = field(init=False)
+    rise_window: int = field(init=False, default=RISE_WINDOW)
 
     def __post_init__(self):
         object.__setattr__(self, "exponent", self.slope / math.log(2.0))
         object.__setattr__(self, "verdict", BOUNDED if self.slope < self.threshold else DIVERGENT)
+        rise, k = sup_rise(self.values, self.rise_window)
+        object.__setattr__(self, "rise", rise)
+        object.__setattr__(self, "rise_level", self.levels[k])
 
     @property
     def bounded(self) -> bool:

@@ -1,13 +1,16 @@
 """Seminorm estimators for analytic-function spaces on the disk.
 
 Everything here estimates a supremum over the disk by sweeping dyadic
-radii ``1 - 2**-j`` and recording a per-level trace.  An estimate is
-``converged`` when its running supremum moved less than 2% over the last
-level; the invariant-metric estimator computes each probe exactly in
-coefficient space and also needs every probe's truncation tail
-certified.  ``hinf_norm`` samples the unit circle alone, where a
-polynomial's supremum over the disk lies.  ``coeff_decay_test`` classifies
-coefficient growth instead, reusing the dyadic slope machinery from ``numerics``.
+radii ``1 - 2**-j`` and recording a per-level trace.  Whether an estimate
+has settled is decided in one place, ``SeminormEstimate``, by the settle
+rule ``numerics.sup_rise``: ``converged`` when the running supremum rose by
+at most ``SUP_CONVERGENCE_RTOL`` over the last level and the estimator
+``certified`` its own evidence.  The invariant-metric estimator computes
+each probe exactly in coefficient space and certifies every probe's
+truncation tail.  ``hinf_norm`` samples the unit circle alone, where a
+polynomial's supremum over the disk lies, and certifies its angle count.
+``coeff_decay_test`` classifies coefficient growth instead, reusing the
+dyadic slope machinery from ``numerics``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError, ParameterError, check_real
-from .numerics import GrowthReport, classify_growth, dyadic_radii
+from .numerics import SUP_CONVERGENCE_RTOL, GrowthReport, classify_growth, dyadic_radii, sup_rise
 # bench/tracer.py wraps _horner under every module that imports it
 from .series import PowerSeries, _horner, gamma_ratio  # noqa: F401
 
@@ -43,9 +46,6 @@ QP_DEPTH, QP_ANGLES = 8, 8
 LAMBDA_DEPTH = 12
 HINF_ANGLES = 4096
 
-# relative movement of the running supremum below which a trace has settled
-SUP_CONVERGENCE_RTOL = 0.02
-
 # qp_seminorm cuts each probe's series once a certified bound on its last
 # quarter is at most this share of the energy, and gives up at QP_MAX_TERMS
 QP_TAIL_RTOL = 1e-13
@@ -58,32 +58,32 @@ FFT_ROUNDOFF_RTOL = 1e-3
 class SeminormEstimate:
     """A supremum estimate with its dyadic-level trace.
 
-    ``levels`` numbers the trace from 0 and ``value`` is its maximum;
-    ``converged`` means the running supremum settled within 2% by the
-    last level, so the sup was attained inside the probed region rather
-    than still growing at its edge (for ``hinf_norm``: that its samples
-    bound the supremum within 1%).
+    ``levels`` numbers the trace from 0 and ``value`` is its maximum.
+    ``rise`` and ``rise_level`` are ``numerics.sup_rise`` over the last
+    level: how far the running supremum still moved at the edge of the
+    probed region.  ``certified`` is the estimator's own evidence (for
+    ``qp_seminorm``: every tail certified; for ``hinf_norm``: that its
+    samples bound the supremum within 1%).  ``converged`` means both: a
+    rise of at most ``SUP_CONVERGENCE_RTOL`` and ``certified``.  A
+    one-level trace has no rise, so ``certified`` alone decides it.
     """
 
     trace: tuple[float, ...]
-    converged: bool
+    certified: bool = True
     notes: tuple[str, ...] = ()
     levels: tuple[int, ...] = field(init=False)
     value: float = field(init=False)
+    rise: float = field(init=False)
+    rise_level: int = field(init=False)
+    converged: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(range(len(self.trace))))
         object.__setattr__(self, "value", max(self.trace))
-
-
-def _running_sup_settled(trace: np.ndarray) -> bool:
-    if trace.size < 2 or not np.all(np.isfinite(trace)):
-        return False
-    running = np.maximum.accumulate(trace)
-    last, prev = float(running[-1]), float(running[-2])
-    if last == 0.0:
-        return True
-    return (last - prev) <= SUP_CONVERGENCE_RTOL * last
+        rise, k = sup_rise(self.trace, 1)
+        object.__setattr__(self, "rise", rise)
+        object.__setattr__(self, "rise_level", k)
+        object.__setattr__(self, "converged", rise <= SUP_CONVERGENCE_RTOL and self.certified)
 
 
 def _circle_samples(coeffs: np.ndarray, r: float, m: int) -> np.ndarray:
@@ -143,7 +143,7 @@ def bloch_seminorm(f: PowerSeries) -> SeminormEstimate:
                       for r in radii])
     if not np.all(np.isfinite(arr)):
         raise NumericsError("Bloch trace is not finite")
-    return SeminormEstimate(trace=tuple(float(v) for v in arr), converged=_running_sup_settled(arr))
+    return SeminormEstimate(trace=tuple(float(v) for v in arr))
 
 
 def _fft_energy(x_spec, y_spec, weights: np.ndarray, scale: float, what: str) -> float:
@@ -225,9 +225,9 @@ def qp_seminorm(f: PowerSeries, p: float) -> SeminormEstimate:
     ``QP_ANGLES`` angles on each dyadic radius, one ``_qp_level`` call per
     radius.  Each sum is cut at a length ``L`` starting at
     ``2^ceil(log2(len f' + 40/(1-|a|)))`` and doubled until the certified
-    tail from ``3L/4`` on is at most ``QP_TAIL_RTOL`` of it.  Converged
-    means the running supremum settled and every tail was certified
-    within ``QP_MAX_TERMS`` terms.
+    tail from ``3L/4`` on is at most ``QP_TAIL_RTOL`` of it.  The estimate
+    is ``certified`` when every tail was certified within ``QP_MAX_TERMS``
+    terms.
     """
     p = check_real("p", p, 0)
     fd = f.derivative().coeffs
@@ -243,11 +243,7 @@ def qp_seminorm(f: PowerSeries, p: float) -> SeminormEstimate:
     notes = [f"longest probe series {longest} terms; largest certified tail fraction {worst:.1e}"]
     if uncertified:
         notes.append(f"tail not certified within {QP_MAX_TERMS} terms at levels {uncertified}")
-    return SeminormEstimate(
-        trace=tuple(trace),
-        converged=_running_sup_settled(np.asarray(trace)) and not uncertified,
-        notes=tuple(notes),
-    )
+    return SeminormEstimate(trace=tuple(trace), certified=not uncertified, notes=tuple(notes))
 
 
 def lambda_norm(f: PowerSeries, p: float) -> SeminormEstimate:
@@ -256,7 +252,7 @@ def lambda_norm(f: PowerSeries, p: float) -> SeminormEstimate:
     fd = f.derivative()
     radii = np.concatenate([[0.0], dyadic_radii(LAMBDA_DEPTH)])
     trace = [float((1.0 - r) ** (1.0 - 1.0 / p) * Mp(fd, r, p)) for r in radii]
-    return SeminormEstimate(trace=tuple(trace), converged=_running_sup_settled(np.asarray(trace)))
+    return SeminormEstimate(trace=tuple(trace))
 
 
 def coeff_decay_test(f: PowerSeries) -> GrowthReport:
@@ -300,7 +296,7 @@ def hinf_norm(f: PowerSeries) -> SeminormEstimate:
     ``_circle_samples``.  ``|f|**2`` is a real trigonometric polynomial of
     degree ``deg f``, so by Ehlich and Zeller the supremum is at most
     ``sqrt(sec(pi deg f / m))`` times the largest sample: at most 1.0098 when
-    ``16 deg f <= m``, which is when the estimate is converged.  The notes give
+    ``16 deg f <= m``, which is when the estimate is certified.  The notes give
     ``m`` and that factor; the trace is the one circle.
     """
     deg = f.order
@@ -313,4 +309,4 @@ def hinf_norm(f: PowerSeries) -> SeminormEstimate:
     notes = [f"{m} angles on |z| = 1; supremum at most {factor:.6f} times the largest sample"]
     if 16 * deg > m:
         notes.append(f"degree {deg} needs {16 * deg} angles, past the cap {MP_MAX_ANGLES}")
-    return SeminormEstimate(trace=(value,), converged=16 * deg <= m, notes=tuple(notes))
+    return SeminormEstimate(trace=(value,), certified=16 * deg <= m, notes=tuple(notes))

@@ -10,8 +10,9 @@ exit code and its parsed output: the JSON a command writes, or the
 same calls in-process and holds them to these files.  Before it rewrites a
 file, the script prints, for each field path that moved, the largest
 relative move, how many calls it moved in and the call where it was
-largest.  A change that moves outputs on purpose pastes that listing into
-CHANGES.md.
+largest; a field path that is new in the output is listed as ``added``,
+with how many calls it was added in.  A change that moves outputs on
+purpose pastes that listing into CHANGES.md.
 """
 
 from __future__ import annotations
@@ -120,6 +121,17 @@ def moves(old, new, path: str = ""):
         yield path, math.inf
 
 
+def added(old, new, path: str = ""):
+    """Field path of each key that ``new`` has and ``old`` lacks, as in ``moves``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(new.keys()):
+            sub = f"{path}.{key}" if path else key
+            yield from added(old[key], new[key], sub) if key in old else (sub,)
+    elif isinstance(old, list) and isinstance(new, list):
+        for a, b in zip(old, new):
+            yield from added(a, b, path)
+
+
 def load(name: str) -> list[dict]:
     return json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
 
@@ -131,16 +143,23 @@ def _dump(calls: list[dict]) -> str:
 
 def _report(name: str, old: list[dict], new: list[dict]) -> None:
     largest: dict[str, tuple[float, int, str]] = {}
+    new_keys: dict[str, int] = {}
     for before, after in zip(old, new):
         call = " ".join(after["argv"]).replace("{root}/", "")
+        keys = set(added(before, after))
+        for path in keys:
+            new_keys[path] = new_keys.get(path, 0) + 1
         in_call: dict[str, float] = {}
         for path, move in moves(before, after):
-            in_call[path] = max(move, in_call.get(path, move))
+            if path not in keys:
+                in_call[path] = max(move, in_call.get(path, move))
         for path, move in in_call.items():
             top, count, where = largest.get(path, (-1.0, 0, ""))
             largest[path] = (move, count + 1, call) if move > top else (top, count + 1, where)
     if len(old) != len(new):
         print(f"{name}: {len(old)} calls before, {len(new)} now")
+    for path, count in sorted(new_keys.items()):
+        print(f"{name}: {path}  added  in {count} calls")
     for path, (move, count, call) in sorted(largest.items()):
         print(f"{name}: {path}  largest relative move {move:.2g}  in {count} calls, "
               f"largest in: {call}")

@@ -25,7 +25,7 @@ from cesaro.cli import _record_dict, main
 from cesaro.corpus import labeled_corpus
 from cesaro.errors import ParameterError
 from cesaro.measure import Atomic, Lebesgue, PowerDensity, load_measure, moments_array
-from cesaro.numerics import quad_measure
+from cesaro.numerics import BOUNDED, DIVERGENT, quad_measure
 
 from conftest import any_measures
 
@@ -202,6 +202,18 @@ class TestConsensus:
         assert "box" in payload["reports"]
 
 
+    def test_rise_separates_the_corpus_at_depth_18(self):
+        # every bounded report's running supremum rose by less than 1e-3 over its
+        # last three levels, and every divergent report's by more
+        rises = {BOUNDED: [], DIVERGENT: []}
+        for entry in labeled_corpus():
+            for rep in is_s_carleson(entry.measure, entry.order, depth=18).reports.values():
+                assert rep.rise_window == 3
+                rises[rep.verdict].append(rep.rise)
+        assert len(rises[BOUNDED]) == 35 and len(rises[DIVERGENT]) == 25
+        assert max(rises[BOUNDED]) < 1e-3 < min(rises[DIVERGENT])
+
+
 class TestOverflowGuards:
     """Samples that leave float range read as ``+inf``, never as a traceback."""
 
@@ -220,11 +232,16 @@ class TestOverflowGuards:
         assert code == 0 and out["consensus"] == NOT_CARLESON
         assert all(math.isinf(v) for v in out["reports"]["integral_real"]["values"])
 
-    def test_large_mass_still_disagrees(self, tmp_path, capsys):
-        # ROADMAP item 5: the kernel traces of a mass near 1e290 overflow to +inf
+    def test_large_mass_is_carleson(self, tmp_path, capsys):
+        # the kernel factor (1-a)**t multiplies each node before the mass does, so a
+        # mass near 1e290 leaves every trace finite at about its own size
         big = {"type": "power_density", "alpha": 0, "scale": 1e290}
         code, out = self._run(tmp_path, capsys, big, "--s", "1", "--t", "10")
-        assert code == 3 and out["consensus"] == "disagreement"
+        assert code == 0 and out["consensus"] == CARLESON
+        _, unit = self._run(tmp_path, capsys, {**big, "scale": 1.0}, "--s", "1", "--t", "10")
+        for name, rep in out["reports"].items():
+            scaled = [1e290 * v for v in unit["reports"][name]["values"]]
+            assert rep["values"] == pytest.approx(scaled, rel=1e-12), name
 
 
 class TestRealProbeReduction:
@@ -296,6 +313,15 @@ class TestKernelIntegral:
         with mp.workdps(40):
             ref = float(mp.beta(1, 0.5) * mp.hyp2f1(3, 1, 1.5, mp.mpf(a)))
         assert math.isclose(kernel_integral(PowerDensity(-0.5), a, 3.0, 0.0), ref, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 10.0])
+    @pytest.mark.parametrize("j", [1, 18, 52])
+    def test_factor_t_multiplies_the_integral(self, j, t):
+        # (1-a)**t enters every node; it is the factor outside, up to rounding
+        mu, a = Atomic((0.3, 0.9), (0.25, 2.0)), 1.0 - 2.0 ** -j
+        inside = kernel_integral(mu, a, 2.0 + t, 0.5, t)
+        assert math.isclose(inside, (1.0 - a) ** t * kernel_integral(mu, a, 2.0 + t, 0.5),
+                            rel_tol=1e-14)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5])
     def test_infinite_exactly_when_endpoint_not_integrable(self, alpha):

@@ -16,10 +16,13 @@ from cesaro.numerics import (
     BOUNDED,
     DIVERGENT,
     GROWTH_THRESHOLD,
+    RISE_WINDOW,
+    GrowthReport,
     classify_growth,
     dyadic_radii,
     quad_measure,
     sup_on_dyadic_boundary,
+    sup_rise,
 )
 
 
@@ -265,6 +268,55 @@ class TestClassifyGrowth:
     def test_constant_scale_never_divergent(self, scale):
         rep = classify_growth([scale] * 12)
         assert rep.bounded
+
+
+class TestSupRise:
+    # running supremum 1, 2, 2, 2.5, 2.5: steps 1/2, 0, 1/5, 0
+    TRACE = [1.0, 2.0, 1.5, 2.5, 2.0]
+
+    def test_window_one_sees_only_the_last_step(self):
+        assert sup_rise(self.TRACE, 1) == (0.0, 4)
+
+    def test_window_three_sees_the_last_three_steps(self):
+        assert sup_rise(self.TRACE, 3) == (pytest.approx(0.2, rel=1e-15), 3)
+        assert sup_rise(self.TRACE, 4) == (0.5, 1)
+        # a window past the trace sees every step
+        assert sup_rise(self.TRACE, 99) == sup_rise(self.TRACE, 4)
+
+    def test_reports_the_level_of_the_largest_rise(self):
+        rise, k = sup_rise([1.0, 1.5, 2.0, 2.1], 3)
+        assert k == 1 and rise == pytest.approx(1.0 / 3.0, rel=1e-15)
+        # equal rises: the later one is reported
+        assert sup_rise([1.0, 2.0, 4.0], 2) == (0.5, 2)
+
+    def test_one_level_trace_has_no_rise(self):
+        assert sup_rise([7.0], 1) == (0.0, 0)
+        assert sup_rise([0.0], RISE_WINDOW) == (0.0, 0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_sample_is_an_infinite_rise(self, bad):
+        # anywhere in the trace, also before the window
+        assert sup_rise([1.0, bad, 2.0, 2.0, 2.0], 1) == (math.inf, 1)
+
+    def test_a_zero_supremum_does_not_rise(self):
+        assert sup_rise([0.0, 0.0, 0.0], 3) == (0.0, 2)
+        assert sup_rise([0.0, 0.0, 1.0], 3) == (1.0, 2)
+
+    def test_empty_trace_is_refused(self):
+        with pytest.raises(ParameterError):
+            sup_rise([], 1)
+
+    def test_growth_report_records_the_rise_on_its_levels(self):
+        rep = classify_growth([1.0, 1.0, 1.0, 4.0, 4.0, 4.0, 5.0], range(10, 17))
+        assert rep.rise_window == RISE_WINDOW == 3
+        assert (rep.rise, rep.rise_level) == (pytest.approx(0.2, rel=1e-15), 16)
+        # the rise does not enter the slope verdict
+        flat = GrowthReport(levels=(1, 2, 3, 4), values=(1.0, 2.0, 4.0, 8.0), slope=0.0)
+        assert flat.bounded and flat.rise == 0.5 and flat.rise_level == 4
+
+    def test_infinite_trace_rises_infinitely(self):
+        rep = classify_growth([1.0, 2.0, math.inf, 1.0])
+        assert (rep.rise, rep.rise_level) == (math.inf, 3)
 
 
 class TestDyadicRadii:

@@ -6,8 +6,12 @@ dataclass fields, keyed by field name, with ``passed`` written as
 not constructor arguments:
 
 * ``GrowthReport``: ``exponent = slope / log 2``, ``verdict`` bounded iff
-  ``slope < GROWTH_THRESHOLD``, ``threshold = GROWTH_THRESHOLD``
-* ``SeminormEstimate``: ``value = max(trace)``
+  ``slope < GROWTH_THRESHOLD``, ``threshold = GROWTH_THRESHOLD``, and
+  ``(rise, rise_level)`` from ``sup_rise(values, rise_window)`` with
+  ``rise_window = RISE_WINDOW``
+* ``SeminormEstimate``: ``levels`` numbers the trace from 0, ``value = max(trace)``,
+  ``(rise, rise_level)`` from ``sup_rise(trace, 1)``, and ``converged``
+  iff ``rise <= SUP_CONVERGENCE_RTOL`` and ``certified``
 * ``CarlesonVerdict``: ``consensus`` from the reports' bounded flags
 * ``ScenarioReport``: ``passed`` is the conjunction of its checks
 """
@@ -24,7 +28,16 @@ from cesaro.cli import _record_dict, main
 from cesaro.corpus import LabeledMeasure
 from cesaro.harness import CheckRecord, ScenarioReport, TraceRecord
 from cesaro.measure import Atomic, Lebesgue
-from cesaro.numerics import BOUNDED, DIVERGENT, GROWTH_THRESHOLD, GrowthReport, classify_growth
+from cesaro.numerics import (
+    BOUNDED,
+    DIVERGENT,
+    GROWTH_THRESHOLD,
+    RISE_WINDOW,
+    SUP_CONVERGENCE_RTOL,
+    GrowthReport,
+    classify_growth,
+    sup_rise,
+)
 from cesaro.spaces import SeminormEstimate
 
 MEASURES = Path(__file__).resolve().parents[1] / "measures"
@@ -44,6 +57,9 @@ def _check_growth(rep: dict) -> None:
     assert rep["exponent"] == rep["slope"] / math.log(2.0)
     assert rep["threshold"] == GROWTH_THRESHOLD
     assert rep["verdict"] == (BOUNDED if rep["slope"] < GROWTH_THRESHOLD else DIVERGENT)
+    assert rep["rise_window"] == RISE_WINDOW
+    rise, k = sup_rise(rep["values"], RISE_WINDOW)
+    assert (rep["rise"], rep["rise_level"]) == (rise, rep["levels"][k])
 
 
 def _consensus(reports: dict) -> str:
@@ -83,6 +99,10 @@ def test_seminorm_estimate(space, coeffs_file, capsys):
     assert code == 0
     assert set(payload) == _keys(SeminormEstimate) | {"schema", "space"}
     assert payload["value"] == max(payload["trace"])
+    assert payload["levels"] == list(range(len(payload["trace"])))
+    rise, k = sup_rise(payload["trace"], 1)
+    assert (payload["rise"], payload["rise_level"]) == (rise, k)
+    assert payload["converged"] == (rise <= SUP_CONVERGENCE_RTOL and payload["certified"])
 
 
 @pytest.mark.parametrize("scenario", ["divergent-integral", "log-series"])
@@ -128,13 +148,16 @@ def test_scenario_report_fails_with_any_check():
         lambda: GrowthReport((1,), (1.0,), 0.0, verdict=BOUNDED),
         lambda: SeminormEstimate((1.0,), True, value=1.0),
         lambda: SeminormEstimate((1.0,), True, levels=(0,)),
+        lambda: SeminormEstimate((1.0,), converged=True),
+        lambda: SeminormEstimate((1.0,), rise=0.0),
+        lambda: GrowthReport((1,), (1.0,), 0.0, rise_window=1),
         lambda: CarlesonVerdict(1.0, {}, {}, consensus=CARLESON),
         lambda: ScenarioReport("x", "claim", {}, (), passed=True),
         lambda: CheckRecord("c", 1.0, 1.0, passed=True),
         lambda: CheckRecord("c", 1.0, 1.0, (0.0, 2.0), margin=1.0),
     ],
-    ids=["exponent", "verdict", "value", "levels", "consensus", "passed", "check-passed",
-         "check-margin"],
+    ids=["exponent", "verdict", "value", "levels", "converged", "rise", "rise-window",
+         "consensus", "passed", "check-passed", "check-margin"],
 )
 def test_derived_fields_are_not_arguments(build):
     with pytest.raises(TypeError):

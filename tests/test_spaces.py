@@ -6,6 +6,8 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from cesaro import spaces
@@ -16,7 +18,9 @@ from cesaro.measure import Lebesgue
 from cesaro.numerics import dyadic_radii
 from cesaro.series import PowerSeries, _horner, cesaro_mu, cesaro_mu_s, gamma_ratio, kernel_series
 from cesaro.spaces import (
+    SUP_CONVERGENCE_RTOL,
     Mp,
+    SeminormEstimate,
     bloch_seminorm,
     coeff_decay_test,
     hinf_norm,
@@ -50,6 +54,47 @@ def _mp_from_64(f, r, p):
         prev, est = est, new
         m *= 2
     raise NumericsError("unsettled", estimates=(prev, est))
+
+
+def _running_sup_settled(trace: np.ndarray) -> bool:
+    """The settle rule ``spaces`` applied before ``numerics.sup_rise`` took it over."""
+    if trace.size < 2 or not np.all(np.isfinite(trace)):
+        return False
+    running = np.maximum.accumulate(trace)
+    last, prev = float(running[-1]), float(running[-2])
+    if last == 0.0:
+        return True
+    return (last - prev) <= SUP_CONVERGENCE_RTOL * last
+
+
+class TestSettleRule:
+    """``SeminormEstimate.converged`` is the old running-supremum rule at a window of 1."""
+
+    samples = st.one_of(
+        st.floats(min_value=0.0),  # includes +inf
+        st.just(math.nan),
+        # zeros, ties and rises on either side of 2%
+        st.sampled_from([0.0, 1.0, 0.98, 0.9799, 0.9801, 1.0 / 0.98]),
+    )
+
+    @given(st.lists(samples, min_size=1, max_size=13), st.booleans())
+    @example([0.0, 0.0], True)
+    @example([1.0, 0.0], True)
+    @example([0.98, 1.0], True)
+    @example([49.0, 50.0], True)  # a rise of exactly 2% has settled
+    @example([1.0, math.inf], True)
+    @example([1.0, math.nan, 1.0], True)
+    @example([3.0], True)
+    def test_converged_matches_the_running_sup_rule(self, trace, certified):
+        est = SeminormEstimate(tuple(trace), certified=certified)
+        settled = _running_sup_settled(np.asarray(trace))
+        # a one-level trace (only hinf's) has no rise: its certified flag decides alone,
+        # where the old rule called it unsettled
+        if len(trace) == 1:
+            settled = math.isfinite(trace[0])
+        assert est.converged == (settled and certified)
+        assert est.converged == (est.rise <= SUP_CONVERGENCE_RTOL and certified)
+
 
 
 class TestMp:
