@@ -172,7 +172,7 @@ def integral_test_complex(
     return _kernel_trace(mu, s, t, 0.0, depth)
 
 
-def disk_kernel_test(boundary: GrowthReport, t: float = 1.0) -> GrowthReport:
+def disk_kernel_test(boundary: GrowthReport, t: float) -> GrowthReport:
     """Trace of ``integral (1-|a|**2)**t / |1-conj(a) x|**(s+t) d mu(x)``.
 
     ``boundary`` is the ``integral_test_complex`` report of the measure, and

@@ -10,8 +10,7 @@ Subcommands::
 Exit codes: 0 success, 1 scenario failure, 2 usage or validation error,
 3 numeric non-convergence (including a battery disagreement).
 
-Output goes to stdout unless ``--out`` names a file; ``--trace-dir``
-additionally writes one ``level,value`` CSV per trace.  All output is
+Output goes to stdout unless ``--out`` names a file.  All output is
 deterministic: repeated runs with the same inputs are byte-identical.
 """
 
@@ -21,7 +20,6 @@ import argparse
 import contextlib
 import gc
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from .binding import layer_binding
@@ -82,31 +80,10 @@ def _emit_json(payload: dict, out: str | None) -> None:
         _emit(text, stream)
 
 
-def _trace_csv(levels: Sequence[int], values: Sequence[float]) -> str:
-    lines = ["level,value"]
-    lines.extend(f"{lvl},{val!r}" for lvl, val in zip(levels, values))
-    return "\n".join(lines) + "\n"
-
-
-def _write_traces(trace_dir: str, named: Sequence[tuple[str, Sequence[int], Sequence[float]]]) -> None:
-    root = Path(trace_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    for name, levels, values in named:
-        (root / f"{name}.csv").write_text(_trace_csv(levels, values), encoding="utf-8")
-
-
 def _cmd_carleson(args: argparse.Namespace) -> int:
     mu = load_measure(args.measure)
     verdict = is_s_carleson(mu, args.s, depth=args.depth, t=args.t, r=args.r)
     _emit_json({**_record_dict(verdict), "schema": SCHEMA_VERSION}, args.out)
-    if args.trace_dir is not None:
-        _write_traces(
-            args.trace_dir,
-            [
-                (f"carleson.{crit}", rep.levels, rep.values)
-                for crit, rep in verdict.reports.items()
-            ],
-        )
     return 3 if verdict.consensus == DISAGREEMENT else 0
 
 
@@ -140,8 +117,6 @@ def _cmd_seminorm(args: argparse.Namespace) -> int:
     else:
         est = hinf_norm(f)
     _emit_json({**_record_dict(est), "schema": SCHEMA_VERSION, "space": space}, args.out)
-    if args.trace_dir is not None:
-        _write_traces(args.trace_dir, [(f"seminorm.{space}", est.levels, est.trace)])
     return 0 if est.converged else 3
 
 
@@ -149,13 +124,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = run_all(None if args.scenario == "all" else (args.scenario,))
     passed = all(r.passed for r in reports)
     _emit_json({"schema": SCHEMA_VERSION, "pass": passed, "reports": reports}, args.out)
-    if args.trace_dir is not None:
-        named = [
-            (f"{rep.scenario}.{trace.name}", trace.levels, trace.values)
-            for rep in reports
-            for trace in rep.traces
-        ]
-        _write_traces(args.trace_dir, named)
     return 0 if passed else 1
 
 
@@ -179,7 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_car.add_argument("--depth", type=int, default=18, help="dyadic probe depth, 4 to 52 "
                        "(the moment trace always has the 15 levels n = 2^0 .. 2^14)")
     p_car.add_argument("--out", help="write JSON here instead of stdout")
-    p_car.add_argument("--trace-dir", help="write per-criterion CSV traces here")
     p_car.set_defaults(func=_cmd_carleson)
 
     p_tr = sub.add_parser("transform", help="apply the order-s averaging transform")
@@ -201,13 +168,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sem.add_argument("--p", type=float, default=None, help="space exponent")
     p_sem.add_argument("--input", required=True, help="coefficient file")
     p_sem.add_argument("--out", help="write JSON here instead of stdout")
-    p_sem.add_argument("--trace-dir", help="write the level trace as CSV here")
     p_sem.set_defaults(func=_cmd_seminorm)
 
     p_ver = sub.add_parser("verify", help="run scenario checks")
     p_ver.add_argument("--scenario", required=True, help="scenario id, or 'all'")
     p_ver.add_argument("--out", help="write JSON here instead of stdout")
-    p_ver.add_argument("--trace-dir", help="write scenario traces as CSV here")
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser

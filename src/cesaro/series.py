@@ -93,8 +93,6 @@ class PowerSeries:
             return complex(out)
         return out
 
-    __call__ = eval
-
     def derivative(self) -> "PowerSeries":
         if self.order == 0:
             return PowerSeries(np.zeros(1))

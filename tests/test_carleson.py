@@ -171,6 +171,15 @@ class TestDiskKernelTest:
         assert rep.verdict == "divergent"
         assert rep.exponent == pytest.approx(0.5, abs=0.08)
 
+    def test_t_is_required(self):
+        # a default t would silently rescale a boundary report taken at any other t
+        boundary = integral_test_complex(Lebesgue(), 1.0, t=2.0, depth=12)
+        with pytest.raises(TypeError):
+            disk_kernel_test(boundary)
+        rep = disk_kernel_test(boundary, t=2.0)
+        assert rep.values[-1] == is_s_carleson(Lebesgue(), 1.0, t=2.0, depth=12).reports[
+            "disk_kernel"].values[-1]
+
 
 class TestConsensus:
     def test_carleson_verdict_fields(self):

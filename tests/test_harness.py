@@ -283,25 +283,31 @@ class TestCli:
         assert payload["schema"] == 1
         assert payload["consensus"] == "not_carleson"
 
-    def test_carleson_trace_dir(self, tmp_path, capsys):
-        trace_dir = tmp_path / "traces"
+    def test_carleson_traces_in_json(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
         code = main(
             ["carleson", "--measure", f"{MEASURES}/lebesgue.json", "--s", "1",
-             "--depth", "10", "--out", str(tmp_path / "v.json"),
-             "--trace-dir", str(trace_dir)]
+             "--depth", "10", "--out", str(out)]
         )
         assert code == 0
-        files = sorted(p.name for p in trace_dir.iterdir())
-        assert files == [
-            "carleson.box.csv",
-            "carleson.disk_kernel.csv",
-            "carleson.integral_complex.csv",
-            "carleson.integral_real.csv",
-            "carleson.moment.csv",
+        reports = json.loads(out.read_text())["reports"]
+        assert sorted(reports) == [
+            "box", "disk_kernel", "integral_complex", "integral_real", "moment",
         ]
-        first = (trace_dir / "carleson.box.csv").read_text().splitlines()
-        assert first[0] == "level,value"
-        assert first[1] == "1,1.0"
+        assert reports["box"]["levels"][0] == 1
+        assert reports["box"]["values"][0] == 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["carleson", "--measure", f"{MEASURES}/lebesgue.json", "--s", "1"],
+        ["seminorm", "--space", "bloch", "--input", "f.txt"],
+        ["verify", "--scenario", "divergent-integral"],
+    ])
+    def test_trace_dir_is_refused(self, argv, tmp_path, capsys):
+        # traces leave only in the JSON record; the flag is a usage error
+        trace_dir = tmp_path / "traces"
+        assert main([*argv, "--trace-dir", str(trace_dir)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not trace_dir.exists()
 
     def test_seminorm_bloch(self, tmp_path, capsys):
         coeff = tmp_path / "f.txt"
@@ -539,19 +545,15 @@ class TestCli:
 
     def test_verify_single_scenario_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        trace_dir = tmp_path / "traces"
-        code = main(
-            ["verify", "--scenario", "log-series", "--out", str(out),
-             "--trace-dir", str(trace_dir)]
-        )
+        code = main(["verify", "--scenario", "log-series", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["schema"] == 1
         assert payload["pass"] is True
         assert [r["scenario"] for r in payload["reports"]] == ["log-series"]
-        names = sorted(p.name for p in trace_dir.iterdir())
-        assert "log-series.coefficient_decay.csv" in names
-        assert "log-series.energy_partial_sums.csv" in names
+        traces = {trace["name"]: trace for trace in payload["reports"][0]["traces"]}
+        for name in ("coefficient_decay", "energy_partial_sums"):
+            assert len(traces[name]["levels"]) == len(traces[name]["values"]) > 0
 
     def test_verify_repeat_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
